@@ -34,7 +34,7 @@ echo "== e15 sharding + replica-read bench (smoke) =="
 # Runs the placement experiment end to end: the sharded + replica-read
 # policy must beat the single-owner baseline by >= 30% on wire messages
 # and on simulated p95 latency, with identical observable values and all
-# four invariant monitors silent. Smoke mode shrinks the Zipf stream; the
+# five invariant monitors silent. Smoke mode shrinks the Zipf stream; the
 # assertions are identical to the full run.
 E15_SMOKE=1 cargo bench -p rafda-bench --bench e15_sharding --locked --offline --quiet
 
@@ -94,7 +94,7 @@ diff target/ci_determinism_a.txt.jsonl target/ci_determinism_b.txt.jsonl
 echo "== chaos soak, monitor-enabled smoke =="
 # The full 24-case soak already ran under `cargo test` above; this repeats
 # it at 2 cases purely to exercise the CHAOS_CASES knob the soak exposes
-# for quick local iteration (all four watchdogs stay enabled).
+# for quick local iteration (all five watchdogs stay enabled).
 CHAOS_CASES=2 cargo test -q -p rafda --test chaos_soak
 
 echo "CI OK"

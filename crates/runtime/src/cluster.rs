@@ -12,7 +12,9 @@ use rafda_telemetry::{
     standard_monitors, MonitorEvent, SpanLog, SpanOutcome, TraceContext, Violation,
 };
 use rafda_transform::TransformPlan;
-use rafda_vm::{Handle, NetFailure, NetFailureKind, Trace, TraceEvent, Value, Vm, VmError};
+use rafda_vm::{
+    Handle, Heap, HeapEntry, NetFailure, NetFailureKind, Trace, TraceEvent, Value, Vm, VmError,
+};
 use rafda_wire::{
     FrameHeader, Protocol, ProtocolKind, Reply, Request, RequestKind, SigTable, WireValue,
 };
@@ -662,23 +664,14 @@ pub(crate) struct Shared {
     pub in_replica_sweep: Cell<bool>,
     /// The dirty-replica set: `(owner node, export id)` locations whose
     /// state may have moved past what [`NodeState::synced_versions`] last
-    /// shipped. Every version bump, served mutation, promotion and
-    /// post-pull local call inserts here; [`sync_dirty_replicas`] drains
-    /// *only* these entries — in sorted order, so the shipment sequence is
-    /// byte-identical to the full-table sweep it replaces — instead of
-    /// enumerating every export of every node. A `BTreeSet` keeps the
+    /// shipped. Every version bump, served mutation, promotion and logged
+    /// heap write to a replicated export inserts here;
+    /// [`sync_dirty_replicas`] drains *only* these entries — in sorted
+    /// order, so the shipment sequence is byte-identical to the full-table
+    /// sweep it replaces — instead of enumerating every export of every
+    /// node. A `BTreeSet` keeps the
     /// drain deterministic without a sort per sweep.
     pub dirty: RefCell<BTreeSet<(u32, u64)>>,
-    /// Per-node application-frame nesting counters. A frame is open while
-    /// *non-getter* application code runs locally on that node (a served
-    /// `Call`, or a top-level entry like [`Cluster::call_method`]); any
-    /// synchronization point reached while a node's frame is open
-    /// conservatively marks that node's replicated exports dirty, because
-    /// the in-progress app code may have mutated local state bare — the
-    /// runtime never sees plain method calls on pulled, promoted or
-    /// installed-in-place objects. Getter-only traffic opens no frames, so
-    /// read-only phases sweep nothing.
-    pub app_frames: RefCell<Vec<u32>>,
     /// Reusable encode buffers, keyed by directed link. Checked out for
     /// the lifetime of one frame (request frames live across every
     /// retransmission of their exchange) and returned cleared. Never
@@ -780,6 +773,14 @@ impl Cluster {
             .families
             .values()
             .any(|f| policy.replicas(&universe.class(f.base).name) > 0);
+        if any_replication {
+            // Replicated state can change through plain local calls the
+            // runtime never sees; the heap write logs tell the sweep which
+            // objects those calls wrote.
+            for vm in &vms {
+                vm.with_heap(Heap::log_writes);
+            }
+        }
         let any_sharding = plan
             .families
             .values()
@@ -811,7 +812,6 @@ impl Cluster {
             any_replication,
             in_replica_sweep: Cell::new(false),
             dirty: RefCell::new(BTreeSet::new()),
-            app_frames: RefCell::new(vec![0; nodes as usize]),
             wire_bufs: RefCell::new(BufPool::new()),
             sig_tables: RefCell::new(HashMap::new()),
         });
@@ -1219,14 +1219,8 @@ impl Cluster {
         let vm = &shared.vms[node.0 as usize];
         if shared.plan.is_substitutable(id) {
             let singleton = discover_value(shared, node, id)?;
-            // The singleton may be local (statics owner, or an adopted
-            // promotion): a non-getter call on it is bare app code.
-            let _frame = (!entry_is_getter(shared, node, &singleton, method))
-                .then(|| AppFrame::enter(shared, node.0));
             Ok(vm.call_virtual_by_name(singleton, method, args)?)
         } else {
-            // Untransformed static app code always runs locally.
-            let _frame = AppFrame::enter(shared, node.0);
             Ok(vm.call_static_by_name(class, method, args)?)
         }
     }
@@ -1252,10 +1246,6 @@ impl Cluster {
         let vm = &shared.vms[node.0 as usize];
         match shared.plan.family(id) {
             Some(family) => {
-                // Factory `make` + `init$k` run app code (the constructor
-                // body) on this node whenever placement keeps the instance
-                // local.
-                let _frame = AppFrame::enter(shared, node.0);
                 let that = vm.call_static(family.obj_factory, family.make_sig, vec![])?;
                 let init_sig = *family
                     .init_sigs
@@ -1288,15 +1278,7 @@ impl Cluster {
         method: &str,
         args: Vec<Value>,
     ) -> Result<Value, RuntimeError> {
-        let shared = &self.shared;
-        // A local receiver (a pulled or promoted object living in this
-        // node's VM) takes the call bare — open an app frame unless the
-        // method is a pure property read, so the mutation is marked for
-        // the next sweep. Getter-only traffic stays frameless: read-only
-        // phases must not cause a single sweep probe.
-        let _frame = (!entry_is_getter(shared, node, &recv, method))
-            .then(|| AppFrame::enter(shared, node.0));
-        Ok(shared.vms[node.0 as usize].call_virtual_by_name(recv, method, args)?)
+        Ok(self.shared.vms[node.0 as usize].call_virtual_by_name(recv, method, args)?)
     }
 
     /// Bind the `Observer` built-in on every node to a **cluster-wide**
@@ -2119,11 +2101,13 @@ impl Cluster {
         drop(nodes);
         // The restarted node's pre-crash dirty entries describe state that
         // no longer exists; shipping from them would resurrect stale
-        // backups. Purge them, then re-seed the sweep from every live
-        // node's replicated exports — the cleared `synced_versions` above
-        // means each owner owes the rejoined node a fresh shipment even at
-        // an unmoved version, and the sweep only probes marked locations.
+        // backups. Purge them and the node's unread heap write log, then
+        // re-seed the sweep from every live node's replicated exports —
+        // the cleared `synced_versions` above means each owner owes the
+        // rejoined node a fresh shipment even at an unmoved version, and
+        // the sweep only probes marked locations.
         self.shared.dirty.borrow_mut().retain(|&(n, _)| n != node.0);
+        self.shared.vms[node.0 as usize].with_heap(Heap::take_writes);
         for n in 0..self.shared.vms.len() as u32 {
             mark_node_dirty(&self.shared, n);
         }
@@ -2305,7 +2289,8 @@ pub(crate) fn tombstone_version(shared: &Shared, node: u32, oid: u64) {
 // promotions), fresh replicated exports (whose initial state the old
 // full-table sweep shipped at the next synchronization point), and bare
 // local mutations — application code running outside the serve path, which
-// the per-node app frames track conservatively.
+// each VM's heap write log records and [`drain_write_log`] turns into
+// marks.
 
 /// Mark the export `(node, oid)` dirty: its next sweep probe will compare
 /// live state against the last shipment. A no-op for locations that are
@@ -2325,10 +2310,10 @@ pub(crate) fn mark_dirty(shared: &Shared, node: u32, oid: u64) {
     bump(shared, node, Met::DirtyMarks);
 }
 
-/// Conservatively mark every replicated export of `node` dirty — used when
-/// application code ran locally on the node and may have mutated any of
-/// its objects bare (the runtime never sees plain local calls), and to
-/// re-seed the sweep after a restart cleared `synced_versions`.
+/// Mark every replicated export of `node` dirty — used when by-value state
+/// on the node was written (it may sit inside any replicated object's
+/// fields), to re-seed the sweep after a restart cleared
+/// `synced_versions`, and by the quiescent full-table probe.
 pub(crate) fn mark_node_dirty(shared: &Shared, node: u32) {
     if !shared.any_replication {
         return;
@@ -2351,69 +2336,37 @@ pub(crate) fn mark_node_dirty(shared: &Shared, node: u32) {
     }
 }
 
-/// Mark `node` dirty iff application code is currently executing on it (an
-/// open app frame). Called at every synchronization point, so state a
-/// frame mutated *before* a nested exchange is shipped at that exchange —
-/// exactly when the old full-table sweep would have shipped it.
-pub(crate) fn mark_if_framed(shared: &Shared, node: u32) {
-    if !shared.any_replication {
-        return;
+/// Turn `node`'s heap write log into dirty marks. A written export is
+/// marked exactly. A written array or untransformed object is by-value
+/// state that may sit inside any replicated object's fields, so the node
+/// is marked whole. Any other write — a proxy, an unexported local — cannot
+/// change what a replica ships.
+fn drain_write_log(shared: &Shared, node: u32) {
+    let vm = &shared.vms[node as usize];
+    let mut writes = vm.with_heap(Heap::take_writes);
+    writes.sort_unstable();
+    writes.dedup();
+    let mut by_value = false;
+    for h in writes {
+        let oid = shared.nodes.borrow()[node as usize]
+            .export_ids
+            .get(&h)
+            .copied();
+        match oid {
+            Some(oid) => mark_dirty(shared, node, oid),
+            None => {
+                by_value = by_value
+                    || vm.with_heap(|heap| match heap.get(h) {
+                        Some(HeapEntry::Array { .. }) => true,
+                        Some(HeapEntry::Object { class, .. }) => gen_info(shared, *class).is_none(),
+                        None => false,
+                    });
+            }
+        }
     }
-    if shared.app_frames.borrow()[node as usize] > 0 {
+    if by_value {
         mark_node_dirty(shared, node);
     }
-}
-
-/// RAII guard for one nested level of local application execution on a
-/// node. Entered around every non-getter app-code call site (served
-/// `Call`s, entry points, clinit); exiting conservatively marks the node
-/// dirty, so trailing bare mutations are shipped at the next
-/// synchronization point.
-pub(crate) struct AppFrame<'a> {
-    shared: &'a Shared,
-    node: u32,
-}
-
-impl<'a> AppFrame<'a> {
-    pub(crate) fn enter(shared: &'a Shared, node: u32) -> AppFrame<'a> {
-        if shared.any_replication {
-            shared.app_frames.borrow_mut()[node as usize] += 1;
-        }
-        AppFrame { shared, node }
-    }
-}
-
-impl Drop for AppFrame<'_> {
-    fn drop(&mut self) {
-        if self.shared.any_replication {
-            self.shared.app_frames.borrow_mut()[self.node as usize] -= 1;
-            mark_node_dirty(self.shared, self.node);
-        }
-    }
-}
-
-/// Whether invoking `method` on `recv` at an entry point is a pure
-/// property read — resolved against the receiver's family by accessor
-/// *name*, since entry points take human method names, not wire
-/// signatures. Getter calls open no app frame: they cannot mutate, so a
-/// read-only workload leaves the dirty set untouched and sweeps nothing.
-fn entry_is_getter(shared: &Shared, node: NodeId, recv: &Value, method: &str) -> bool {
-    let Some(h) = recv.as_ref_handle() else {
-        return false;
-    };
-    shared.vms[node.0 as usize]
-        .class_of(h)
-        .and_then(|c| shared.gen_info.get(&c))
-        .and_then(|info| shared.plan.family(info.base).map(|f| (f, info.side)))
-        .is_some_and(|(f, side)| {
-            let accessors = match side {
-                Side::Obj => &f.getters,
-                Side::Cls => &f.static_getters,
-            };
-            accessors
-                .iter()
-                .any(|&g| shared.universe.sig_info(g).name == method)
-        })
 }
 
 /// Demote the export `(node, oid)` to a forwarding stub: the object
@@ -2563,6 +2516,10 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
             Err(_) => return,
         }
     }
+    // Writes logged so far are covered by this probe: turning them into
+    // marks now lets the settle or the shipment below spend this object's
+    // mark, instead of leaving it for a redundant probe at the next sweep.
+    drain_write_log(shared, owner.0);
     // Skip the no-op sync outright: if neither the version nor the state
     // has moved since the last shipment, the backups already hold exactly
     // this state and k exchanges would buy nothing. Repeated `Discover`
@@ -2646,23 +2603,26 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
 /// full-table sweep enumerated, so the shipment sequence (and with it
 /// every message id, clock reading and report byte) is unchanged for any
 /// run. Marking covers everything the full sweep could ship: version
-/// bumps, fresh replicated exports, restart re-seeds, and conservative
-/// app-frame marks for bare local mutations (see the marking helpers
-/// around [`mark_dirty`]). Gated on `any_replication` so workloads
-/// without a `replicate` policy pay one boolean test, and guarded against
-/// re-entry because the shipments are themselves exchanges.
+/// bumps, fresh replicated exports, restart re-seeds, and bare local
+/// mutations, which the heap write logs record and the sweep drains first
+/// (see the marking helpers around [`mark_dirty`]). Gated on
+/// `any_replication` so workloads without a `replicate` policy pay one
+/// boolean test, and guarded against re-entry because the shipments are
+/// themselves exchanges.
 pub(crate) fn sync_dirty_replicas(shared: &Shared) {
     if !shared.any_replication || shared.in_replica_sweep.get() {
         return;
+    }
+    for n in 0..shared.vms.len() as u32 {
+        drain_write_log(shared, n);
     }
     if shared.dirty.borrow().is_empty() {
         return;
     }
     shared.in_replica_sweep.set(true);
-    // Take the set whole: marks made *during* the sweep (nested exchanges
-    // re-marking an open app frame, the drift bump inside a shipment) are
-    // next sweep's work, exactly like mutations made during the old full
-    // enumeration.
+    // Take the set whole: marks made *during* the sweep (writes logged by
+    // nested exchanges, the drift bump inside a shipment) are next sweep's
+    // work, exactly like mutations made during the old full enumeration.
     let targets = std::mem::take(&mut *shared.dirty.borrow_mut());
     for (n, oid) in targets {
         // A crashed owner cannot ship; its backups are exactly what the
@@ -2795,8 +2755,6 @@ pub(crate) fn discover_value(
             .singletons
             .insert(base, SingletonState::InProgress(h));
         if let (Some(cls_factory), Some(clinit_sig)) = (family.cls_factory, family.clinit_sig) {
-            // The class initializer is app code running bare on this node.
-            let _frame = AppFrame::enter(shared, node.0);
             shared.vms[node.0 as usize].call_static(
                 cls_factory,
                 clinit_sig,
@@ -3555,11 +3513,7 @@ pub(crate) fn rpc(
     flush_outqueues(shared)?;
     // A promoted object's local mutations bypass the serve path entirely;
     // the next exchange is the first chance to notice its backups are
-    // behind. If application code is mid-flight on the calling node (an
-    // open app frame), anything it mutated bare so far must be probed by
-    // this very sweep — the old full-table sweep shipped such state here,
-    // and nested calls may observe it through their own replicas.
-    mark_if_framed(shared, from.0);
+    // behind, and nested calls may observe them through their own replicas.
     sync_dirty_replicas(shared);
     let codec = shared
         .protocols
@@ -4077,21 +4031,13 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
                     Err(m) => return Reply::Fault(m),
                 }
             }
-            let reply = {
-                // Non-getter app code runs under an app frame: any nested
-                // exchange it makes probes this node's replicated state
-                // first, and the frame's exit mark covers trailing bare
-                // mutations (the method may touch local objects besides
-                // the receiver, which `bump_version` above already marked).
-                let _frame = (!is_getter).then(|| AppFrame::enter(shared, node.0));
-                match vm.call_virtual(Value::Ref(h), sig, values) {
-                    Ok(v) => match marshal::value_to_wire(shared, node, &v) {
-                        Ok(wv) => Reply::Value(wv),
-                        Err(m) => Reply::Fault(m),
-                    },
-                    Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
-                    Err(other) => Reply::Fault(other.to_string()),
-                }
+            let reply = match vm.call_virtual(Value::Ref(h), sig, values) {
+                Ok(v) => match marshal::value_to_wire(shared, node, &v) {
+                    Ok(wv) => Reply::Value(wv),
+                    Err(m) => Reply::Fault(m),
+                },
+                Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
+                Err(other) => Reply::Fault(other.to_string()),
             };
             // Anything that may have mutated the object re-ships it to its
             // backups before the reply leaves, so a replica promoted after

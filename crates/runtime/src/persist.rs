@@ -298,11 +298,9 @@ pub(crate) fn restore(
                 .map_err(RuntimeError::Marshal)?,
             };
             if o.is_array {
-                vm.with_heap(|heap| {
-                    if let Some(HeapEntry::Array { data, .. }) = heap.get_mut(handles[i]) {
-                        data[k] = value;
-                    }
-                });
+                let index = i32::try_from(k)
+                    .map_err(|_| RuntimeError::Bad(format!("array slot {k} out of range")))?;
+                vm.with_heap(|heap| heap.set_element(handles[i], index, value))?;
             } else {
                 vm.with_heap(|heap| heap.set_field(handles[i], k, value));
             }

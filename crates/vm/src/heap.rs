@@ -7,7 +7,14 @@
 //! is rewritten into a proxy (`Cp` in the paper's Figure 1) without touching
 //! any of the references that point at it, and vice versa when an object is
 //! pulled back local.
+//!
+//! The heap can also keep a **write log**: once armed with
+//! [`Heap::log_writes`], every field store and array-element store records
+//! the written handle until [`Heap::take_writes`] drains it. A distributed
+//! runtime uses it to learn exactly which objects application code mutated
+//! without passing through the runtime.
 
+use crate::error::{Trap, VmError};
 use crate::value::Value;
 use rafda_classmodel::{ClassId, Ty};
 use std::fmt;
@@ -72,6 +79,9 @@ pub struct Heap {
     slots: Vec<Slot>,
     free: Vec<u32>,
     stats: HeapStats,
+    /// Handles written since the last [`Heap::take_writes`]; `None` while
+    /// the log is unarmed, so an unlogged store costs one branch.
+    writes: Option<Vec<Handle>>,
 }
 
 impl Heap {
@@ -165,9 +175,55 @@ impl Heap {
         match self.get_mut(h) {
             Some(HeapEntry::Object { fields, .. }) if offset < fields.len() => {
                 fields[offset] = value;
+                self.note_write(h);
                 true
             }
             _ => false,
+        }
+    }
+
+    /// Write element `index` of the array at `h`.
+    ///
+    /// # Errors
+    /// [`Trap::IndexOutOfBounds`] for an index outside the array,
+    /// [`Trap::StaleHandle`] for a stale handle, and a type error when `h`
+    /// is not an array.
+    pub fn set_element(&mut self, h: Handle, index: i32, value: Value) -> Result<(), VmError> {
+        match self.get_mut(h) {
+            Some(HeapEntry::Array { data, .. }) => {
+                let len = data.len();
+                if index < 0 || index as usize >= len {
+                    return Err(VmError::Trap(Trap::IndexOutOfBounds {
+                        index: i64::from(index),
+                        len,
+                    }));
+                }
+                data[index as usize] = value;
+                self.note_write(h);
+                Ok(())
+            }
+            Some(_) => Err(VmError::type_error("indexing a non-array")),
+            None => Err(VmError::Trap(Trap::StaleHandle)),
+        }
+    }
+
+    /// Arm the write log: from now on every field and element store
+    /// records its handle for [`Heap::take_writes`].
+    pub fn log_writes(&mut self) {
+        self.writes.get_or_insert_with(Vec::new);
+    }
+
+    /// Drain the write log: the handles written since the last drain, in
+    /// store order with immediate repeats collapsed. Empty while unarmed.
+    pub fn take_writes(&mut self) -> Vec<Handle> {
+        self.writes.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    fn note_write(&mut self, h: Handle) {
+        if let Some(log) = &mut self.writes {
+            if log.last() != Some(&h) {
+                log.push(h);
+            }
         }
     }
 
@@ -261,6 +317,54 @@ mod tests {
         assert!(heap.set_field(h, 0, Value::Int(9)));
         assert!(!heap.set_field(h, 3, Value::Int(9)));
         assert_eq!(heap.field(h, 0), Some(&Value::Int(9)));
+    }
+
+    #[test]
+    fn set_element_bounds_and_kind_checked() {
+        let mut heap = Heap::new();
+        let a = heap.alloc_array(Ty::Int, vec![Value::Int(0); 2]);
+        assert!(heap.set_element(a, 1, Value::Int(7)).is_ok());
+        assert_eq!(
+            heap.get(a),
+            Some(&HeapEntry::Array {
+                elem: Ty::Int,
+                data: vec![Value::Int(0), Value::Int(7)]
+            })
+        );
+        assert!(matches!(
+            heap.set_element(a, 2, Value::Int(1)),
+            Err(VmError::Trap(Trap::IndexOutOfBounds { index: 2, len: 2 }))
+        ));
+        assert!(heap.set_element(a, -1, Value::Int(1)).is_err());
+        let o = heap.alloc_object(ClassId(1), vec![]);
+        assert!(heap.set_element(o, 0, Value::Int(1)).is_err());
+        heap.free(a);
+        assert!(matches!(
+            heap.set_element(a, 0, Value::Int(1)),
+            Err(VmError::Trap(Trap::StaleHandle))
+        ));
+    }
+
+    #[test]
+    fn write_log_records_stores_only_while_armed() {
+        let mut heap = Heap::new();
+        let o = heap.alloc_object(ClassId(1), vec![Value::Null]);
+        let a = heap.alloc_array(Ty::Int, vec![Value::Int(0)]);
+        heap.set_field(o, 0, Value::Int(1));
+        assert!(heap.take_writes().is_empty(), "unarmed heaps log nothing");
+        heap.log_writes();
+        heap.set_field(o, 0, Value::Int(2));
+        heap.set_field(o, 0, Value::Int(3));
+        heap.set_element(a, 0, Value::Int(4)).unwrap();
+        heap.set_field(o, 0, Value::Int(5));
+        assert!(
+            !heap.set_field(o, 9, Value::Int(6)),
+            "failed stores log nothing"
+        );
+        assert_eq!(heap.take_writes(), vec![o, a, o]);
+        assert!(heap.take_writes().is_empty(), "a drain empties the log");
+        heap.set_field(o, 0, Value::Int(7));
+        assert_eq!(heap.take_writes(), vec![o], "the log stays armed");
     }
 
     #[test]

@@ -940,21 +940,7 @@ impl Vm {
         let i = idx
             .as_int()
             .ok_or_else(|| VmError::type_error("array index must be int"))?;
-        match self.state.borrow_mut().heap.get_mut(h) {
-            Some(HeapEntry::Array { data, .. }) => {
-                let len = data.len();
-                if i < 0 || i as usize >= len {
-                    return Err(VmError::Trap(Trap::IndexOutOfBounds {
-                        index: i64::from(i),
-                        len,
-                    }));
-                }
-                data[i as usize] = v;
-                Ok(())
-            }
-            Some(_) => Err(VmError::type_error("indexing a non-array")),
-            None => Err(VmError::Trap(Trap::StaleHandle)),
-        }
+        self.state.borrow_mut().heap.set_element(h, i, v)
     }
 }
 

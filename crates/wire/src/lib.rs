@@ -225,13 +225,15 @@ impl WireError {
 /// node can parent its dispatch span under the caller's span even across a
 /// multi-hop proxy chain. A request's retransmissions carry the *same*
 /// context (the frame is encoded once and resent verbatim); replies carry
-/// the server span's context. Frames from pre-tracing peers decode as
-/// [`TraceContext::NONE`].
+/// the server span's context.
 ///
 /// Reply headers additionally piggyback the served object's **property
 /// version** — the counter the proxy-side property cache tags its entries
 /// with — so coherence information rides on traffic that flows anyway.
-/// Frames from pre-caching peers decode with version 0.
+///
+/// Every node runs the same build, so a codec decodes exactly the frame
+/// layouts this build emits and rejects any other (an unknown version
+/// byte, a SOAP envelope without its header) with a [`WireError`].
 ///
 /// Implementations must round-trip exactly. `overhead_ns` models the
 /// protocol-stack processing cost charged per message in addition to the
@@ -298,7 +300,7 @@ pub trait Protocol {
 
     /// Decode a reply, resolving signature references against (and
     /// interning inline signatures into) the link's table when one is
-    /// supplied. Frames from pre-caching peers decode with version 0.
+    /// supplied.
     ///
     /// # Errors
     /// [`WireError`] on malformed input or an unresolvable signature
@@ -357,8 +359,7 @@ pub trait Protocol {
     }
 
     /// Decode a reply, returning the answered message id, trace context,
-    /// object property version and body. Frames from pre-caching peers
-    /// decode with version 0.
+    /// object property version and body.
     ///
     /// # Errors
     /// [`WireError`] on malformed input.

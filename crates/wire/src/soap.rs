@@ -423,9 +423,9 @@ fn envelope_into(
 
 /// Extract the message id, trace context and object property version from
 /// a `<soap:Header>` block. Pre-tracing peers (no `<rafda:trace>`) decode
-/// as `TraceContext::NONE`, pre-caching peers (no `<rafda:objver>`) as
-/// version 0.
-fn header_fields(header: &Element) -> Result<(u64, TraceContext, u64), WireError> {
+/// as `TraceContext::NONE`. The property version is present on replies
+/// only.
+fn header_fields(header: &Element) -> Result<(u64, TraceContext, Option<u64>), WireError> {
     let id = header
         .child("rafda:mid")?
         .text()
@@ -441,12 +441,13 @@ fn header_fields(header: &Element) -> Result<(u64, TraceContext, u64), WireError
         Err(_) => TraceContext::NONE,
     };
     let objver = match header.child("rafda:objver") {
-        Ok(v) => v
-            .text()
-            .trim()
-            .parse()
-            .map_err(|_| WireError::new("bad rafda:objver"))?,
-        Err(_) => 0,
+        Ok(v) => Some(
+            v.text()
+                .trim()
+                .parse()
+                .map_err(|_| WireError::new("bad rafda:objver"))?,
+        ),
+        Err(_) => None,
     };
     Ok((id, ctx, objver))
 }
@@ -456,8 +457,9 @@ fn header_fields(header: &Element) -> Result<(u64, TraceContext, u64), WireError
 /// the frame — is located textually and returned as an unparsed slice.
 /// This is safe because every `<` in attribute values and text content is
 /// entity-escaped, so the literal `</soap:Body>` can only be the body's
-/// own close tag. Pre-id peers (no `<soap:Header>`) decode as id 0.
-fn scan_envelope(xml: &str) -> Result<(u64, TraceContext, u64, &str), WireError> {
+/// own close tag. Every frame of this build carries a `<soap:Header>`; an
+/// envelope without one is rejected.
+fn scan_envelope(xml: &str) -> Result<(u64, TraceContext, Option<u64>, &str), WireError> {
     let mut p = Parser::new(xml);
     p.skip_ws();
     if p.input[p.pos..].starts_with(b"<?") {
@@ -564,10 +566,8 @@ fn scan_envelope(xml: &str) -> Result<(u64, TraceContext, u64, &str), WireError>
         }
     }
     let body = body.ok_or_else(|| WireError::new("<soap:Envelope> missing child <soap:Body>"))?;
-    let (id, ctx, objver) = match &header {
-        Some(h) => header_fields(h)?,
-        None => (0, TraceContext::NONE, 0),
-    };
+    let header = header.ok_or_else(|| WireError::new("<soap:Envelope> missing <soap:Header>"))?;
+    let (id, ctx, objver) = header_fields(&header)?;
     Ok((id, ctx, objver, body))
 }
 
@@ -894,6 +894,8 @@ impl Protocol for SoapCodec {
     ) -> Result<(u64, TraceContext, u64, Reply), WireError> {
         let xml = std::str::from_utf8(bytes).map_err(|_| WireError::new("invalid utf-8"))?;
         let (id, ctx, obj_version, body) = scan_envelope(xml)?;
+        let obj_version =
+            obj_version.ok_or_else(|| WireError::new("reply header missing rafda:objver"))?;
         let e = first_body_elem(body)?;
         Ok((id, ctx, obj_version, read_reply_elem(&e, &mut sigs)?))
     }
@@ -990,18 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn headerless_envelope_decodes_as_id_zero() {
-        // A frame from a pre-id peer: no <soap:Header> at all.
-        let xml = "<?xml version=\"1.0\"?>\n\
-                   <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n\
-                   <soap:Body><rafda:fetch object=\"5\"/></soap:Body>\n</soap:Envelope>\n";
-        let (id, ctx, req) = SoapCodec::new().decode_request(xml.as_bytes()).unwrap();
-        assert_eq!(id, 0);
-        assert_eq!(ctx, TraceContext::NONE);
-        assert_eq!(req, Request::Fetch { object: 5 });
-    }
-
-    #[test]
     fn traceless_header_decodes_as_none_context() {
         // A frame from a message-id-era peer: header with mid but no
         // <rafda:trace>.
@@ -1085,21 +1075,5 @@ mod tests {
             assert_eq!((h.msg_id, h.ctx), (id, fctx));
             assert_eq!(h.materialise(None).unwrap(), full);
         }
-    }
-
-    #[test]
-    fn objverless_reply_decodes_as_version_zero() {
-        // A reply from a pre-caching peer: header with mid + trace but no
-        // <rafda:objver>.
-        let xml = "<?xml version=\"1.0\"?>\n\
-                   <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n\
-                   <soap:Header><rafda:mid>6</rafda:mid>\
-                   <rafda:trace id=\"1\" span=\"2\" parent=\"0\"/></soap:Header>\n\
-                   <soap:Body><rafda:result><v t=\"int\">9</v></rafda:result></soap:Body>\n\
-                   </soap:Envelope>\n";
-        let (id, _, ver, reply) = SoapCodec::new().decode_reply(xml.as_bytes()).unwrap();
-        assert_eq!(id, 6);
-        assert_eq!(ver, 0, "pre-caching peers imply version 0");
-        assert_eq!(reply, Reply::Value(WireValue::Int(9)));
     }
 }

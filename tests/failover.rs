@@ -442,3 +442,72 @@ fn restarted_statics_owner_follows_the_promotion_not_its_amnesia() {
     let stats = cluster.stats();
     assert_eq!(stats.promotions, 1, "exactly one promotion: {stats}");
 }
+
+/// By-value state inside a replicated object: `Bag { int[] a }` keeps its
+/// elements in an array the runtime ships by value. A local call on the
+/// pulled bag stores to the array, never to the bag itself, so no export
+/// is written; the array write alone must get the bag re-shipped at the
+/// next exchange.
+#[test]
+fn an_array_store_in_a_pulled_object_reships_at_the_next_exchange() {
+    let mut app = Application::new();
+    let u = app.universe_mut();
+    let bag = u.declare("Bag", ClassKind::Class);
+    let mut cb = ClassBuilder::new(u, bag);
+    let a = cb.field(Field::new("a", Ty::Int.array_of()));
+    // Bag() { a = new int[2]; }
+    let mut mb = MethodBuilder::new(1);
+    mb.load_this()
+        .const_int(2)
+        .new_array(Ty::Int)
+        .put_field(bag, a)
+        .ret();
+    cb.ctor(u, vec![], Some(mb.finish()));
+    // int put(int i, int x) { a[i] = x; return x; }
+    let mut mb = MethodBuilder::new(3);
+    mb.load_this().get_field(bag, a);
+    mb.load_local(1).load_local(2).array_set();
+    mb.load_local(2).ret_value();
+    cb.method(u, "put", vec![Ty::Int, Ty::Int], Ty::Int, Some(mb.finish()));
+    cb.finish(u);
+    // An unreplicated class on another node, to make a remote exchange.
+    let ping = u.declare("Ping", ClassKind::Class);
+    let mut cb = ClassBuilder::new(u, ping);
+    cb.field(Field::new("v", Ty::Int));
+    let mut mb = MethodBuilder::new(1);
+    mb.ret();
+    cb.ctor(u, vec![], Some(mb.finish()));
+    cb.finish(u);
+    let policy = StaticPolicy::new()
+        .place("Bag", Placement::Node(N1))
+        .replicate("Bag", 1)
+        .place("Ping", Placement::Node(N1));
+    let cluster = app
+        .transform(&["RMI"])
+        .unwrap()
+        .deploy(3, 33, Box::new(policy));
+    cluster.enable_monitors();
+    let b = cluster.new_instance(N2, "Bag", 0, vec![]).unwrap();
+    let p = cluster.new_instance(N2, "Ping", 0, vec![]).unwrap();
+    cluster
+        .pull_local(N2, b.as_ref_handle().unwrap())
+        .expect("pull the bag local to node 2");
+    assert_eq!(cluster.check_invariants(), vec![]);
+    let before = cluster.stats();
+    let put = vec![Value::Int(1), Value::Int(7)];
+    assert_eq!(
+        cluster.call_method(N2, b.clone(), "put", put).unwrap(),
+        Value::Int(7)
+    );
+    assert_eq!(
+        cluster.call_method(N2, p, "get_v", vec![]).unwrap(),
+        Value::Int(0)
+    );
+    let after = cluster.stats();
+    assert_eq!(
+        after.replica_syncs - before.replica_syncs,
+        1,
+        "the array store must re-ship the bag to its one backup: {after}"
+    );
+    assert_eq!(cluster.check_invariants(), vec![]);
+}

@@ -26,7 +26,7 @@
 use proptest::shrink::minimise;
 use rafda::corpus::ops::{generate_churn, ChurnConfig, Oracle, SoakOp};
 use rafda::soak::{run_flat, run_schedule, SoakHarness};
-use rafda::NodeId;
+use rafda::{NodeId, Value};
 
 /// Gate depth: `SOAK_OPS` wins; otherwise the 10⁴ smoke depth (which
 /// `SOAK_SMOKE=1` also selects explicitly, for parity with the bench).
@@ -68,6 +68,16 @@ fn production_day_soak_matches_the_oracle() {
                 println!("{report}");
                 assert_eq!(report.total_ops() as usize, schedule.total_ops());
                 assert!(report.clean(), "{report}");
+                // Sweep precision: the heap write logs mark exactly the
+                // objects that were written, so probes that find nothing
+                // to ship are rare.
+                let s = &report.stats;
+                assert!(
+                    s.replica_sweep_probes <= s.replica_syncs,
+                    "seed {seed}: {} sweep probes for {} replica syncs",
+                    s.replica_sweep_probes,
+                    s.replica_syncs
+                );
             }
             Err(msg) => {
                 let ops = schedule.flatten();
@@ -105,10 +115,11 @@ fn the_soak_report_is_deterministic() {
 }
 
 /// The O(dirty) regression gate: a read-only steady phase must perform
-/// **zero** sweep probes. Getters never bump versions and never open app
-/// frames, so pure read traffic leaves the dirty set empty and the sweep
-/// at each exchange returns before probing anything — the property that
-/// makes the sweep cost proportional to activity, not deployment size.
+/// **zero** sweep probes. Getters never bump versions and never store to
+/// the heap, so pure read traffic leaves the write logs and the dirty set
+/// empty and the sweep at each exchange returns before probing anything —
+/// the property that makes the sweep cost proportional to activity, not
+/// deployment size.
 #[test]
 fn a_read_only_steady_phase_performs_zero_sweep_probes() {
     let cfg = ChurnConfig::production_day(21, 0);
@@ -145,8 +156,9 @@ fn a_read_only_steady_phase_performs_zero_sweep_probes() {
 /// Dirty-marking completeness for the subtlest path: a pulled object's
 /// later mutations are plain VM calls on the coordinator — no serve, no
 /// exchange, no version bump at a server — exactly the shape of the PR 7
-/// lost-update bug. The entry-point app frame must mark the node, and the
-/// next remote exchange's sweep must probe and re-ship the drifted state.
+/// lost-update bug. The heap write log records the store, and the next
+/// remote exchange's sweep must probe exactly that one location and
+/// re-ship the drifted state to both backups.
 #[test]
 fn a_local_call_after_pull_marks_dirty_and_reships() {
     let cfg = ChurnConfig::production_day(29, 0);
@@ -176,24 +188,67 @@ fn a_local_call_after_pull_marks_dirty_and_reships() {
             &mut oracle,
         )
         .expect("local mutation on the pulled object");
-    let marked = harness.cluster().stats();
-    assert!(
-        marked.dirty_marks > before.dirty_marks,
-        "the bare local mutation must mark its node dirty"
-    );
     // A cold read of a *different* acct is guaranteed to go remote, and
-    // that exchange's sweep must probe the marked location and ship it.
+    // that exchange's sweep must probe the written location and ship it.
+    harness
+        .apply(&SoakOp::Read { idx: acct + 1 }, &mut oracle)
+        .expect("unrelated remote traffic");
+    let swept = harness.cluster().stats();
+    assert_eq!(
+        swept.replica_sweep_probes - before.replica_sweep_probes,
+        1,
+        "the sweep must probe exactly the one written location"
+    );
+    assert_eq!(
+        swept.replica_syncs - before.replica_syncs,
+        2,
+        "the drifted state must re-ship to both backups"
+    );
+    harness.finale(&oracle).expect("oracle-exact finale");
+}
+
+/// A mutation no runtime entry point sees: application code calling the
+/// pulled object straight through its VM. Only the heap write log records
+/// it, and that must be enough to ship it at the very next exchange rather
+/// than leaving the backups stale until the next quiescent check.
+#[test]
+fn a_bare_vm_call_after_pull_reships_at_the_next_exchange() {
+    let cfg = ChurnConfig::production_day(29, 0);
+    let coord = NodeId(u32::from(cfg.nodes) - 1);
+    let mut harness = SoakHarness::deploy(&cfg);
+    let mut oracle = Oracle::new(cfg.pool());
+    let acct = cfg.items; // first Acct: cached, k = 2, home node 1
+    for op in [
+        SoakOp::Call {
+            idx: acct,
+            delta: 5,
+        },
+        SoakOp::Pull { idx: acct },
+    ] {
+        harness.apply(&op, &mut oracle).expect("warm and pull");
+    }
+    assert_eq!(harness.cluster().check_invariants(), vec![]);
+    let before = harness.cluster().stats();
+    let bare = SoakOp::Call {
+        idx: acct,
+        delta: 3,
+    };
+    let expected = oracle.step(&bare).expect("Call returns a value");
+    let r = harness
+        .cluster()
+        .vm(coord)
+        .call_virtual_by_name(harness.obj(acct).clone(), "add", vec![Value::Int(3)])
+        .expect("bare VM call on the pulled object");
+    assert_eq!(r, Value::Int(expected));
     harness
         .apply(&SoakOp::Read { idx: acct + 1 }, &mut oracle)
         .expect("unrelated remote traffic");
     let swept = harness.cluster().stats();
     assert!(
-        swept.replica_sweep_probes > marked.replica_sweep_probes,
-        "the next exchange must probe the marked location"
-    );
-    assert!(
-        swept.replica_syncs > marked.replica_syncs,
-        "the drifted state must re-ship to the backups"
+        swept.replica_syncs > before.replica_syncs,
+        "the bare write must ship at the next exchange ({} -> {} syncs)",
+        before.replica_syncs,
+        swept.replica_syncs
     );
     harness.finale(&oracle).expect("oracle-exact finale");
 }
