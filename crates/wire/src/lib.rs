@@ -225,15 +225,15 @@ impl WireError {
 /// node can parent its dispatch span under the caller's span even across a
 /// multi-hop proxy chain. A request's retransmissions carry the *same*
 /// context (the frame is encoded once and resent verbatim); replies carry
-/// the server span's context.
+/// the server span's context. Frames from pre-tracing peers decode as
+/// [`TraceContext::NONE`].
 ///
 /// Reply headers additionally piggyback the served object's **property
 /// version** — the counter the proxy-side property cache tags its entries
 /// with — so coherence information rides on traffic that flows anyway.
-///
-/// Every node runs the same build, so a codec decodes exactly the frame
-/// layouts this build emits and rejects any other (an unknown version
-/// byte, a SOAP envelope without its header) with a [`WireError`].
+/// Binary frames from pre-caching peers decode with version 0; a SOAP
+/// envelope without its header, or a SOAP reply without its version, is a
+/// [`WireError`].
 ///
 /// Implementations must round-trip exactly. `overhead_ns` models the
 /// protocol-stack processing cost charged per message in addition to the
@@ -300,7 +300,7 @@ pub trait Protocol {
 
     /// Decode a reply, resolving signature references against (and
     /// interning inline signatures into) the link's table when one is
-    /// supplied.
+    /// supplied. Binary frames from pre-caching peers decode with version 0.
     ///
     /// # Errors
     /// [`WireError`] on malformed input or an unresolvable signature
@@ -359,7 +359,8 @@ pub trait Protocol {
     }
 
     /// Decode a reply, returning the answered message id, trace context,
-    /// object property version and body.
+    /// object property version and body. Binary frames from pre-caching
+    /// peers decode with version 0.
     ///
     /// # Errors
     /// [`WireError`] on malformed input.

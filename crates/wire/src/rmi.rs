@@ -6,16 +6,24 @@ use crate::sig::{SigEnc, SigTable};
 use crate::{Protocol, Reply, Request, TraceContext, WireError, WireValue};
 
 const MAGIC: &[u8] = b"JRMI";
-// The header is magic, version byte, message id (the at-most-once dedup
-// key), trace context (trace/span/parent span ids) and — on replies only —
-// the served object's property version.
-// Version 7 is the stateless encoding: the E13 baseline and the golden
-// vectors. Version 8 adds signature interning: signature-position strings
-// (method descriptors and class names, never payload `Str` values) are
-// prefixed with a marker byte — inline-and-define, or a u32 reference into
-// the link's `SigTable`. Version-8 frames are only emitted when a table is
-// supplied. Every node runs the same build, so no peer sends any other
-// version: decoders reject it with a typed error.
+// Version 3 added the message id (at-most-once dedup key) to the header.
+// Version 4 appended the trace context (trace/span/parent span ids) right
+// after it; version-3 frames still decode, with `TraceContext::NONE`.
+// Version 5 appended the served object's property version to *reply*
+// headers (requests are unchanged); version-4 replies decode with
+// version 0.
+// Version 6 added the replica-sync and promote request tags (crash-stop
+// failover). The header layout is unchanged, so version-5 frames still
+// decode as before.
+// Version 7 added the batch request/reply tags (batched remote
+// invocation). Again the header layout is unchanged, so version-6 frames
+// still decode as before.
+// Version 8 adds signature interning: signature-position strings (method
+// descriptors and class names, never payload `Str` values) are prefixed
+// with a marker byte — inline-and-define, or a u32 reference into the
+// link's `SigTable`. Version-8 frames are only emitted when a table is
+// supplied; the stateless encode path still emits version-7 bytes, and
+// version-7 frames still decode as before.
 const VERSION: u8 = 7;
 const VERSION_SIG: u8 = 8;
 
@@ -435,24 +443,6 @@ pub(crate) fn materialise_binary(
     read_request(&mut r, sigged, sigs)
 }
 
-/// Read the version byte of a binary frame: `Ok(false)` for the stateless
-/// `plain` version, `Ok(true)` for the signature-interning `sigged` one.
-/// Shared by the RMI and GIOP codecs.
-///
-/// # Errors
-/// Any other version byte: no peer of this build sends one.
-pub(crate) fn read_version(
-    r: &mut BinReader<'_>,
-    plain: u8,
-    sigged: u8,
-) -> Result<bool, WireError> {
-    match r.u8()? {
-        v if v == plain => Ok(false),
-        v if v == sigged => Ok(true),
-        v => Err(WireError::new(format!("unsupported frame version {v}"))),
-    }
-}
-
 /// Shared request-header scan for the two binary codecs: after the
 /// codec-specific magic/version/id/ctx prefix, peek the request tag and
 /// record where the body starts without touching the payload.
@@ -515,10 +505,14 @@ impl Protocol for RmiCodec {
     fn decode_request_header<'a>(&self, bytes: &'a [u8]) -> Result<FrameHeader<'a>, WireError> {
         let mut r = BinReader::new(bytes);
         r.expect(MAGIC)?;
-        let sigged = read_version(&mut r, VERSION, VERSION_SIG)?;
+        let version = r.u8()?;
         let id = r.u64()?;
-        let ctx = read_ctx(&mut r)?;
-        binary_header(bytes, &mut r, id, ctx, false, sigged)
+        let ctx = if version >= 4 {
+            read_ctx(&mut r)?
+        } else {
+            TraceContext::NONE
+        };
+        binary_header(bytes, &mut r, id, ctx, false, version >= 8)
     }
 
     fn encode_reply_into(
@@ -547,11 +541,15 @@ impl Protocol for RmiCodec {
     ) -> Result<(u64, TraceContext, u64, Reply), WireError> {
         let mut r = BinReader::new(bytes);
         r.expect(MAGIC)?;
-        let sigged = read_version(&mut r, VERSION, VERSION_SIG)?;
+        let version = r.u8()?;
         let id = r.u64()?;
-        let ctx = read_ctx(&mut r)?;
-        let obj_version = r.u64()?;
-        let reply = read_reply(&mut r, sigged, &mut sigs)?;
+        let ctx = if version >= 4 {
+            read_ctx(&mut r)?
+        } else {
+            TraceContext::NONE
+        };
+        let obj_version = if version >= 5 { r.u64()? } else { 0 };
+        let reply = read_reply(&mut r, version >= 8, &mut sigs)?;
         Ok((id, ctx, obj_version, reply))
     }
 
@@ -621,6 +619,91 @@ mod tests {
         let (id_b, _, body_b) = codec.decode_request(&b).unwrap();
         assert_eq!((id_a, id_b), (1, 2));
         assert_eq!(body_a, body_b);
+    }
+
+    #[test]
+    fn version_3_frames_decode_with_no_trace_context() {
+        let codec = RmiCodec::new();
+        let ctx = TraceContext {
+            trace_id: 5,
+            span_id: 6,
+            parent_span_id: 1,
+        };
+        let v6 = codec
+            .encode_request(9, ctx, &Request::Fetch { object: 2 })
+            .unwrap();
+        // Re-create the pre-tracing frame: version byte 3, no trace context
+        // field (drop bytes 13..37).
+        let mut v3 = v6.clone();
+        v3[4] = 3;
+        v3.drain(13..37);
+        let (id, back_ctx, req) = codec.decode_request(&v3).unwrap();
+        assert_eq!(id, 9);
+        assert_eq!(back_ctx, TraceContext::NONE);
+        assert_eq!(req, Request::Fetch { object: 2 });
+    }
+
+    #[test]
+    fn version_5_frames_decode_unchanged() {
+        // Version 6 only added request tags; the header layout is identical,
+        // so a version-5 frame is byte-for-byte a version-6 frame with a
+        // different version byte. Pre-failover peers must keep parsing.
+        let codec = RmiCodec::new();
+        let ctx = TraceContext {
+            trace_id: 8,
+            span_id: 2,
+            parent_span_id: 1,
+        };
+        let mut req5 = codec
+            .encode_request(
+                11,
+                ctx,
+                &Request::Call {
+                    object: 4,
+                    method: "tick@0".into(),
+                    args: vec![WireValue::Int(1)],
+                },
+            )
+            .unwrap();
+        req5[4] = 5;
+        let (id, back_ctx, req) = codec.decode_request(&req5).unwrap();
+        assert_eq!((id, back_ctx), (11, ctx));
+        assert!(matches!(req, Request::Call { object: 4, .. }));
+        let mut rep5 = codec
+            .encode_reply(11, ctx, 9, &Reply::Value(WireValue::Int(3)))
+            .unwrap();
+        rep5[4] = 5;
+        let (id, back_ctx, ver, reply) = codec.decode_reply(&rep5).unwrap();
+        assert_eq!((id, back_ctx, ver), (11, ctx, 9));
+        assert_eq!(reply, Reply::Value(WireValue::Int(3)));
+    }
+
+    #[test]
+    fn version_6_frames_decode_unchanged() {
+        // Version 7 only added the batch tags; the header layout is
+        // identical, so a version-6 frame is byte-for-byte a version-7
+        // frame with a different version byte. Pre-batching peers must keep
+        // parsing.
+        let codec = RmiCodec::new();
+        let ctx = TraceContext {
+            trace_id: 3,
+            span_id: 4,
+            parent_span_id: 2,
+        };
+        let mut req6 = codec
+            .encode_request(21, ctx, &Request::Promote { node: 1, object: 5 })
+            .unwrap();
+        req6[4] = 6;
+        let (id, back_ctx, req) = codec.decode_request(&req6).unwrap();
+        assert_eq!((id, back_ctx), (21, ctx));
+        assert_eq!(req, Request::Promote { node: 1, object: 5 });
+        let mut rep6 = codec
+            .encode_reply(21, ctx, 4, &Reply::Value(WireValue::Long(8)))
+            .unwrap();
+        rep6[4] = 6;
+        let (id, back_ctx, ver, reply) = codec.decode_reply(&rep6).unwrap();
+        assert_eq!((id, back_ctx, ver), (21, ctx, 4));
+        assert_eq!(reply, Reply::Value(WireValue::Long(8)));
     }
 
     #[test]
@@ -725,5 +808,28 @@ mod tests {
             assert_eq!(h.kind, RequestKind::of(&req));
             assert_eq!(h.materialise(None).unwrap(), full);
         }
+    }
+
+    #[test]
+    fn version_4_replies_decode_with_object_version_zero() {
+        let codec = RmiCodec::new();
+        let ctx = TraceContext {
+            trace_id: 5,
+            span_id: 6,
+            parent_span_id: 1,
+        };
+        let v6 = codec
+            .encode_reply(9, ctx, 77, &Reply::Value(WireValue::Int(3)))
+            .unwrap();
+        // Re-create the pre-caching frame: version byte 4, no object
+        // version field (drop bytes 37..45).
+        let mut v4 = v6.clone();
+        v4[4] = 4;
+        v4.drain(37..45);
+        let (id, back_ctx, ver, reply) = codec.decode_reply(&v4).unwrap();
+        assert_eq!(id, 9);
+        assert_eq!(back_ctx, ctx);
+        assert_eq!(ver, 0, "pre-caching peers imply version 0");
+        assert_eq!(reply, Reply::Value(WireValue::Int(3)));
     }
 }

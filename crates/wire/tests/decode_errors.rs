@@ -354,57 +354,10 @@ fn truncated_headers_are_rejected_by_the_header_decoder() {
     }
 }
 
-/// Every node runs the same build, so a binary frame decodes only under
-/// the two versions this build emits: the stateless encoding and the
-/// signature-interning one. Any other version byte at `at` — an older
-/// layout or a corrupt byte — must be a typed error on the request header
-/// path, the full request path and the reply path alike.
-fn assert_foreign_versions_rejected(codec: &dyn Protocol, at: usize, stateless: u8) {
-    let req = codec
-        .encode_request(9, TraceContext::NONE, &call_request())
-        .unwrap();
-    let rep = codec
-        .encode_reply(9, TraceContext::NONE, 4, &Reply::Value(WireValue::Int(1)))
-        .unwrap();
-    assert_eq!(req[at], stateless, "{}: version byte offset", codec.name());
-    assert!(codec.decode_reply(&rep).is_ok());
-    for v in [0, 3, 4, 5, 6, 9, 0xFF] {
-        let mut bad_req = req.clone();
-        bad_req[at] = v;
-        let mut bad_rep = rep.clone();
-        bad_rep[at] = v;
-        for err in [
-            codec
-                .decode_request_header(&bad_req)
-                .map(|_| ())
-                .unwrap_err(),
-            codec.decode_request(&bad_req).map(|_| ()).unwrap_err(),
-            codec.decode_reply(&bad_rep).map(|_| ()).unwrap_err(),
-        ] {
-            assert!(
-                err.to_string()
-                    .contains(&format!("unsupported frame version {v}")),
-                "{}: version {v} gave {err}",
-                codec.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn rmi_rejects_frame_versions_no_peer_sends() {
-    assert_foreign_versions_rejected(&RmiCodec::new(), 4, 7);
-}
-
-#[test]
-fn corba_rejects_minor_versions_no_peer_sends() {
-    assert_foreign_versions_rejected(&CorbaCodec::new(), 5, 7);
-}
-
-/// SOAP carries no version byte; what older layouts lacked is header
-/// content. An envelope without `<soap:Header>`, or a reply header without
-/// the `<rafda:objver>` property version, is rejected instead of being
-/// decoded with a guessed id or version.
+/// Every SOAP frame of this build carries a header. An envelope without
+/// `<soap:Header>`, or a reply header without the `<rafda:objver>`
+/// property version, is rejected instead of being decoded with a guessed
+/// id or version.
 #[test]
 fn soap_rejects_headerless_envelopes_and_objverless_replies() {
     let codec = SoapCodec::new();

@@ -207,6 +207,49 @@ fn soap_promote_text_is_stable() {
 }
 
 #[test]
+fn pre_failover_rmi_v5_frames_still_parse() {
+    // Version 6 changed no header or body layout for the pre-existing
+    // request/reply kinds, so a v5 frame differs from a v6 frame only in
+    // the version byte (index 4).
+    let codec = RmiCodec::new();
+    let mut req5 = codec
+        .encode_request(0x0102, sample_ctx(), &call_request())
+        .unwrap();
+    req5[4] = 5;
+    let (id, ctx, body) = codec.decode_request(&req5).unwrap();
+    assert_eq!((id, ctx), (0x0102, sample_ctx()));
+    assert_eq!(body, call_request());
+    let mut rep5 = codec
+        .encode_reply(7, sample_ctx(), 9, &Reply::Value(WireValue::Int(-1)))
+        .unwrap();
+    rep5[4] = 5;
+    let (id, ctx, ver, reply) = codec.decode_reply(&rep5).unwrap();
+    assert_eq!((id, ctx, ver), (7, sample_ctx(), 9));
+    assert_eq!(reply, Reply::Value(WireValue::Int(-1)));
+}
+
+#[test]
+fn pre_failover_giop_minor_5_frames_still_parse() {
+    // Same argument as for RMI: only the minor version byte (index 5)
+    // distinguishes a minor-5 frame from a minor-6 frame.
+    let codec = CorbaCodec::new();
+    let mut req5 = codec
+        .encode_request(7, sample_ctx(), &Request::Fetch { object: 1 })
+        .unwrap();
+    req5[5] = 5;
+    let (id, ctx, body) = codec.decode_request(&req5).unwrap();
+    assert_eq!((id, ctx), (7, sample_ctx()));
+    assert_eq!(body, Request::Fetch { object: 1 });
+    let mut rep5 = codec
+        .encode_reply(7, sample_ctx(), 3, &Reply::Fault("f".to_owned()))
+        .unwrap();
+    rep5[5] = 5;
+    let (id, ctx, ver, reply) = codec.decode_reply(&rep5).unwrap();
+    assert_eq!((id, ctx, ver), (7, sample_ctx(), 3));
+    assert_eq!(reply, Reply::Fault("f".to_owned()));
+}
+
+#[test]
 fn pre_failover_soap_frames_still_parse() {
     // A verbatim PR-3-era envelope (mid + trace + objver, no failover
     // vocabulary anywhere) must keep decoding.
@@ -476,4 +519,35 @@ fn soap_batch_reply_text_is_stable() {
     );
     let (_, _, _, back) = SoapCodec::new().decode_reply(xml.as_bytes()).unwrap();
     assert_eq!(back, reply);
+}
+
+#[test]
+fn pre_batching_v6_frames_still_parse() {
+    // Version 7 changed no header or body layout for the pre-existing
+    // request/reply kinds, so a v6 frame differs from a v7 frame only in
+    // the version byte (RMI index 4, GIOP minor at index 5).
+    let rmi = RmiCodec::new();
+    let mut req6 = rmi
+        .encode_request(0x0102, sample_ctx(), &replica_sync_request())
+        .unwrap();
+    req6[4] = 6;
+    let (id, ctx, body) = rmi.decode_request(&req6).unwrap();
+    assert_eq!((id, ctx), (0x0102, sample_ctx()));
+    assert_eq!(body, replica_sync_request());
+    let mut rep6 = rmi
+        .encode_reply(7, sample_ctx(), 9, &Reply::Value(WireValue::Int(-1)))
+        .unwrap();
+    rep6[4] = 6;
+    let (id, ctx, ver, reply) = rmi.decode_reply(&rep6).unwrap();
+    assert_eq!((id, ctx, ver), (7, sample_ctx(), 9));
+    assert_eq!(reply, Reply::Value(WireValue::Int(-1)));
+
+    let corba = CorbaCodec::new();
+    let mut creq6 = corba
+        .encode_request(7, sample_ctx(), &Request::Fetch { object: 1 })
+        .unwrap();
+    creq6[5] = 6;
+    let (id, ctx, body) = corba.decode_request(&creq6).unwrap();
+    assert_eq!((id, ctx), (7, sample_ctx()));
+    assert_eq!(body, Request::Fetch { object: 1 });
 }
