@@ -1,6 +1,7 @@
 //! The distributed runtime proper: nodes, registries, factory & proxy
 //! hooks, RPC dispatch, migration and adaptation.
 
+use crate::directory::{Directory, Loc, VERSION_TOMBSTONE};
 use crate::error::RuntimeError;
 use crate::introspect;
 use crate::marshal;
@@ -66,12 +67,6 @@ const REPLY_CACHE_CAP: usize = 1024;
 /// FIFO like the reply cache; a modest cap keeps the per-node footprint
 /// proportional to its working set of remote reads.
 const PROP_CACHE_CAP: usize = 1024;
-
-/// Version tag marking a `(node, oid)` location as permanently uncacheable:
-/// the object migrated away and the export now forwards. Reads through a
-/// forwarding chain must always go remote, otherwise a reader that never
-/// exchanges with the new owner could keep serving the pre-move value.
-const VERSION_TOMBSTONE: u64 = u64::MAX;
 
 /// Per-node registry state.
 #[derive(Debug, Default)]
@@ -600,11 +595,6 @@ pub(crate) struct Shared {
     /// and the optional invariant monitors. Never borrowed across a
     /// nested exchange.
     pub obs: RefCell<Obs>,
-    /// Test-only fault injection: when set, the next
-    /// [`tombstone_version`] call is silently skipped — simulating a
-    /// runtime that forgot to mark a moved-away export uncacheable, the
-    /// exact bug the stale-read monitor exists to catch.
-    pub skip_next_tombstone: Cell<bool>,
     pub gen_info: HashMap<ClassId, GenInfo>,
     pub rpc_depth: Cell<u32>,
     pub retry: Cell<RetryPolicy>,
@@ -615,29 +605,14 @@ pub(crate) struct Shared {
     /// dispatch, migration and boundary pull, charged to the simulated
     /// clock. Never borrowed across a nested exchange (RPCs re-enter).
     pub spans: RefCell<SpanLog>,
-    /// Authoritative per-object property versions, keyed by `(owner node,
-    /// export id)`. Absent means version 0 (never mutated through the
-    /// runtime since export). Every served mutation bumps the owner's
-    /// entry; the current value piggybacks on reply frames so proxy-side
-    /// property caches can tag and later revalidate their entries.
-    /// [`VERSION_TOMBSTONE`] marks a location the object migrated away
-    /// from.
-    pub versions: RefCell<HashMap<(u32, u64), u64>>,
-    /// Failover forwarding map: `(old owner, old export id)` of a promoted
-    /// object → its new home. Written by the [`Request::Promote`] handler;
-    /// followed by clients before they attempt a promotion of their own, so
-    /// a second caller re-homes to the already-promoted copy instead of
-    /// promoting a stale backup twice.
-    pub homes: RefCell<HashMap<(u32, u64), (u32, u64)>>,
-    /// Canonical singleton exports: class name → the `(node, oid)` its
-    /// statics singleton was first exported under. Singleton resolution
-    /// follows the [`Shared::homes`] chain from here, so a statics owner
-    /// that crash-restarted after a promotion is never allowed to mint a
-    /// fresh, amnesiac singleton while the promoted copy lives on.
-    pub statics_exports: RefCell<HashMap<String, (u32, u64)>>,
+    /// The object directory: every location's property version (which
+    /// piggybacks on reply frames so proxy-side caches can revalidate), the
+    /// successor links every migration, pull and promotion records, and
+    /// the canonical statics singletons. Never borrowed across a call out.
+    pub dir: RefCell<Directory>,
     /// Shard placement state for classes with a `shard by` policy rule: the
-    /// deterministic shard→node map (kept alongside the failover `homes`
-    /// map) and the live members routed to each shard.
+    /// deterministic shard→node map and the live members routed to each
+    /// shard.
     pub shards: RefCell<ShardState>,
     /// Whether the policy shards any transformed class — computed once at
     /// deployment, like [`Shared::any_replication`], so unsharded
@@ -795,15 +770,12 @@ impl Cluster {
             nodes: RefCell::new((0..nodes).map(|_| NodeState::default()).collect()),
             trace: RefCell::new(Trace::new()),
             obs: RefCell::new(Obs::new(nodes)),
-            skip_next_tombstone: Cell::new(false),
             gen_info,
             rpc_depth: Cell::new(0),
             retry: Cell::new(RetryPolicy::default()),
             next_msg_id: Cell::new(1),
             spans: RefCell::new(SpanLog::new()),
-            versions: RefCell::new(HashMap::new()),
-            homes: RefCell::new(HashMap::new()),
-            statics_exports: RefCell::new(HashMap::new()),
+            dir: RefCell::new(Directory::default()),
             shards: RefCell::new(ShardState::default()),
             any_sharding,
             last_exchange_span: Cell::new(0),
@@ -1000,14 +972,14 @@ impl Cluster {
         out
     }
 
-    /// Test-only fault injection: silently skip the next
-    /// [`tombstone_version`] call, simulating a runtime that forgot to
+    /// Test-only fault injection: silently skip the next tombstone the
+    /// object directory records, simulating a runtime that forgot to
     /// mark a moved-away export uncacheable. Exists so the stale-read
     /// monitor's canary test can prove the watchdog catches the bug it was
     /// built for; never use outside tests.
     #[doc(hidden)]
     pub fn debug_skip_next_tombstone(&self) {
-        self.shared.skip_next_tombstone.set(true);
+        self.shared.dir.borrow_mut().skip_next_tombstone();
     }
 
     /// Per-object incoming-call affinity recorded on `node`: `(export id,
@@ -1486,11 +1458,8 @@ impl Cluster {
         }
         let base_name = shared.universe.class(info.base).name.clone();
         let proto = shared.policy.protocol(&base_name);
-        let mut wire_fields = Vec::with_capacity(fields.len());
-        for f in &fields {
-            wire_fields
-                .push(marshal::value_to_wire(shared, from, f).map_err(RuntimeError::Marshal)?);
-        }
+        let wire_fields =
+            marshal::values_to_wire(shared, from, &fields).map_err(RuntimeError::Marshal)?;
         let state = WireValue::ObjectState {
             class: shared.universe.class(class).name.clone(),
             fields: wire_fields,
@@ -1536,13 +1505,15 @@ impl Cluster {
         // cached again, and affinity data about the old home is obsolete
         // cluster-wide. The move is also recorded cluster-wide — the
         // forwarding proxy alone would be lost if this node restarts.
-        tombstone_version(shared, from.0, source_oid);
+        shared
+            .dir
+            .borrow_mut()
+            .moved((from.0, source_oid), (target.node.0, target.oid));
         // The moved-away export leaves the exports table for the forwards
         // side-table: lookups still resolve the forwarding proxy, but the
         // replica sweep and placement accounting stop treating the old
         // home as a live export.
         demote_export_to_forward(shared, from.0, source_oid);
-        record_home(shared, (from.0, source_oid), (target.node.0, target.oid));
         purge_call_counts(shared, &[(from.0, source_oid), (target.node.0, target.oid)]);
         bump(shared, from.0, Met::Migrations);
         Ok(MigrationEvent {
@@ -1621,10 +1592,8 @@ impl Cluster {
             .universe
             .by_name(&class_name)
             .ok_or_else(|| RuntimeError::Bad(format!("unknown class {class_name}")))?;
-        let mut fields = Vec::with_capacity(wire_fields.len());
-        for wf in &wire_fields {
-            fields.push(marshal::wire_to_value(shared, node, wf).map_err(RuntimeError::Marshal)?);
-        }
+        let fields =
+            marshal::wire_to_values(shared, node, &wire_fields).map_err(RuntimeError::Marshal)?;
         vm.replace_object(proxy, local_class, fields);
         let my_oid = export(shared, node, proxy);
         // Owner-side swap: the old object becomes a forwarding proxy here.
@@ -1650,7 +1619,10 @@ impl Cluster {
         // recorded cluster-wide so failover can chase it even after the
         // old owner's forwarding proxy is wiped by a restart.
         bump_version(shared, node.0, my_oid);
-        record_home(shared, (owner.0, oid), (node.0, my_oid));
+        shared
+            .dir
+            .borrow_mut()
+            .link((owner.0, oid), (node.0, my_oid));
         purge_call_counts(shared, &[(owner.0, oid), (node.0, my_oid)]);
         sync_replicas(shared, node, my_oid);
         bump(shared, node.0, Met::Pulls);
@@ -2082,7 +2054,9 @@ impl Cluster {
     /// ids handed out before the crash are never reused — a stale proxy
     /// addressing a pre-crash export gets a typed fault, not a different
     /// object. The node rejoins as a replication target at the owner's next
-    /// sync.
+    /// sync. The object directory is left alone: it stands in for a
+    /// registry replicated alongside the data, so the node forgets its
+    /// exports, not where objects moved or which locations are tombstoned.
     pub fn restart(&self, node: NodeId) {
         // Synchronization point, as for [`Cluster::crash`].
         let _ = flush_outqueues(&self.shared);
@@ -2237,46 +2211,15 @@ pub(crate) fn proxy_class_for(
     list.iter().find(|(p, _)| p == proto).map(|(_, c)| *c)
 }
 
-/// The current property version of the export `(node, oid)` (0 if never
-/// mutated).
-pub(crate) fn version_of(shared: &Shared, node: u32, oid: u64) -> u64 {
-    shared
-        .versions
-        .borrow()
-        .get(&(node, oid))
-        .copied()
-        .unwrap_or(0)
-}
-
 /// Record a (possible) mutation of the export `(node, oid)`: any cached
 /// property read tagged with an older version becomes stale. Tombstoned
-/// locations stay tombstoned.
-pub(crate) fn bump_version(shared: &Shared, node: u32, oid: u64) {
-    {
-        let mut versions = shared.versions.borrow_mut();
-        let v = versions.entry((node, oid)).or_insert(0);
-        if *v != VERSION_TOMBSTONE {
-            *v = v.saturating_add(1).min(VERSION_TOMBSTONE - 1);
-        }
-    }
+/// locations stay tombstoned. Returns the version after the bump.
+pub(crate) fn bump_version(shared: &Shared, node: u32, oid: u64) -> u64 {
+    let version = shared.dir.borrow_mut().bump((node, oid));
     // A version bump is a (possible) mutation: the backups are behind
     // until the next sync, so the sweep must know to probe this location.
     mark_dirty(shared, node, oid);
-}
-
-/// Mark the export `(node, oid)` permanently uncacheable — the object
-/// migrated away and this export now forwards.
-pub(crate) fn tombstone_version(shared: &Shared, node: u32, oid: u64) {
-    if shared.skip_next_tombstone.replace(false) {
-        // Test-only injected fault (`Cluster::debug_skip_next_tombstone`):
-        // the runtime "forgets" to poison the moved-away location, which
-        // is exactly the coherence bug the stale-read monitor detects.
-        return;
-    }
-    shared
-        .versions
-        .borrow_mut()
-        .insert((node, oid), VERSION_TOMBSTONE);
+    version
 }
 
 // ----------------------------------------------------------------------
@@ -2509,13 +2452,9 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
     let Some((_, fields)) = vm.read_object(h) else {
         return;
     };
-    let mut wire_fields = Vec::with_capacity(fields.len());
-    for f in &fields {
-        match marshal::value_to_wire(shared, owner, f) {
-            Ok(wv) => wire_fields.push(wv),
-            Err(_) => return,
-        }
-    }
+    let Ok(wire_fields) = marshal::values_to_wire(shared, owner, &fields) else {
+        return;
+    };
     // Writes logged so far are covered by this probe: turning them into
     // marks now lets the settle or the shipment below spend this object's
     // mark, instead of leaving it for a redundant probe at the next sweep.
@@ -2531,7 +2470,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
     // Bump it here before shipping: the backups must not hold two
     // different states under one version tag, and stale property-cache
     // entries tagged with the old version must stop validating.
-    let version = version_of(shared, owner.0, oid);
+    let version = shared.dir.borrow().version((owner.0, oid));
     let prior = shared.nodes.borrow()[owner.0 as usize]
         .synced_versions
         .get(&oid)
@@ -2543,10 +2482,7 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
             shared.dirty.borrow_mut().remove(&(owner.0, oid));
             return;
         }
-        Some((v, _)) if v == version => {
-            bump_version(shared, owner.0, oid);
-            version_of(shared, owner.0, oid)
-        }
+        Some((v, _)) if v == version => bump_version(shared, owner.0, oid),
         _ => version,
     };
     let class_name = shared.universe.class(class).name.clone();
@@ -2708,47 +2644,26 @@ pub(crate) fn discover_value(
     // copy — even (and especially) on the restarted pre-crash owner, whose
     // wiped registry would otherwise mint a fresh singleton with default
     // state, silently diverging from the copy the survivors still use.
-    let canonical = shared.statics_exports.borrow().get(&base_name).copied();
-    if let Some(start) = canonical {
-        let (tn, toid) = follow_homes(shared, start);
-        if (tn, toid) != start {
-            if let Some(h) = lookup_export(shared, NodeId(tn), toid) {
-                if tn == node.0 {
-                    // The promoted copy lives on this very node: adopt it
-                    // as the local singleton.
-                    shared.nodes.borrow_mut()[node.0 as usize]
-                        .singletons
-                        .insert(base, SingletonState::Ready(h));
-                    return Ok(Value::Ref(h));
-                }
-                let class_name = shared.vms[tn as usize]
-                    .class_of(h)
-                    .map(|c| shared.universe.class(c).name.clone());
-                if let Some(class) = class_name {
-                    let value = marshal::wire_to_value(
-                        shared,
-                        node,
-                        &WireValue::Remote {
-                            node: tn,
-                            object: toid,
-                            class,
-                        },
-                    )
-                    .map_err(VmError::Native)?;
-                    if let Value::Ref(h) = value {
-                        shared.nodes.borrow_mut()[node.0 as usize]
-                            .singletons
-                            .insert(base, SingletonState::Ready(h));
-                    }
-                    return Ok(value);
-                }
-            }
-            // The promoted copy vanished too (its node also restarted):
-            // fall through to policy resolution; the first proxy call will
-            // re-promote from the copy's own backups.
-        }
-    }
-    if owner == node {
+    let moved = {
+        let dir = shared.dir.borrow();
+        dir.singleton(&base_name)
+            .and_then(|start| Some(dir.follow(start)).filter(|&home| home != start))
+    };
+    // A copy promoted onto this very node is adopted as the local
+    // singleton. If the promoted copy vanished too (its node also
+    // restarted), fall through to policy resolution; the first proxy call
+    // will re-promote from the copy's own backups.
+    let promoted = match moved {
+        Some((tn, toid)) if tn == node.0 => lookup_export(shared, node, toid).map(Value::Ref),
+        Some(home) => remote_at(shared, home)
+            .map(|remote| marshal::wire_to_value(shared, node, &remote))
+            .transpose()
+            .map_err(VmError::Native)?,
+        None => None,
+    };
+    let value = if let Some(value) = promoted {
+        value
+    } else if owner == node {
         let cls_local = family.cls_local.expect("has statics");
         let h = default_instance(shared, node, cls_local);
         shared.nodes.borrow_mut()[node.0 as usize]
@@ -2761,10 +2676,7 @@ pub(crate) fn discover_value(
                 vec![Value::Ref(h)],
             )?;
         }
-        shared.nodes.borrow_mut()[node.0 as usize]
-            .singletons
-            .insert(base, SingletonState::Ready(h));
-        Ok(Value::Ref(h))
+        Value::Ref(h)
     } else {
         let proto = shared.policy.protocol(&base_name);
         let (reply, _) = rpc(
@@ -2777,7 +2689,7 @@ pub(crate) fn discover_value(
                 class: base_name.clone(),
             },
         )?;
-        let value = match reply {
+        match reply {
             Reply::Value(wv) => {
                 marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)?
             }
@@ -2788,14 +2700,14 @@ pub(crate) fn discover_value(
             Reply::Batch(_) => {
                 return Err(VmError::Native("unexpected batch reply to discover".into()))
             }
-        };
-        if let Value::Ref(h) = value {
-            shared.nodes.borrow_mut()[node.0 as usize]
-                .singletons
-                .insert(base, SingletonState::Ready(h));
         }
-        Ok(value)
+    };
+    if let Value::Ref(h) = value {
+        shared.nodes.borrow_mut()[node.0 as usize]
+            .singletons
+            .insert(base, SingletonState::Ready(h));
     }
+    Ok(value)
 }
 
 // ----------------------------------------------------------------------
@@ -2828,10 +2740,7 @@ fn proxy_call(
     let proto = info.proto.clone().expect("hooked on a proxy");
     let (mut target, mut oid) =
         read_proxy_state(vm, recv).ok_or_else(|| VmError::Native("stale proxy".into()))?;
-    let mut wire_args = Vec::with_capacity(args.len().saturating_sub(1));
-    for a in &args[1..] {
-        wire_args.push(marshal::value_to_wire(shared, node, a).map_err(VmError::Native)?);
-    }
+    let wire_args = marshal::values_to_wire(shared, node, &args[1..]).map_err(VmError::Native)?;
     let method = format!("{method_name}@{}", sig.0);
     let base_name = shared.universe.class(info.base).name.clone();
     // Property-cache fast path: a cacheable getter whose cached tag still
@@ -2866,49 +2775,23 @@ fn proxy_call(
     let cache_on = is_getter && shared.policy.cacheable(&base_name);
     let cache_key = (target, oid, sig);
     if cache_on {
-        let current = version_of(shared, target, oid);
+        let current = shared.dir.borrow().live_version((target, oid));
         let cached = shared.nodes.borrow()[node.0 as usize]
             .prop_cache
             .get(&cache_key)
             .cloned();
         match cached {
-            Some((tag, wv)) if tag == current && current != VERSION_TOMBSTONE => {
+            Some((tag, wv)) if Some(tag) == current => {
                 bump(shared, node.0, Met::CacheHits);
-                // A zero-duration exchange span keeps the read visible in
-                // traces, tagged as served from the property cache.
-                let now = shared.net.now().as_ns();
-                let ctx = {
-                    let mut spans = shared.spans.borrow_mut();
-                    let h = spans.start_span("rpc.call", node.0, now);
-                    spans.set_attr(h, "class", base_name.as_str());
-                    spans.set_attr(h, "method", method.clone());
-                    spans.set_attr(h, "protocol", proto.as_str());
-                    spans.set_attr(h, "from", node.0);
-                    spans.set_attr(h, "to", target);
-                    spans.set_attr(h, "cached", true);
-                    spans.end_span(h, now, SpanOutcome::Ok);
-                    spans.context_of(h)
-                };
-                if monitors_on(shared) {
-                    // A hit is a stale read when the authoritative object
-                    // has moved: the export now forwards, or a promotion
-                    // re-homed it. A merely *missing* export (restart
-                    // amnesia) is legitimate — the version survived, the
-                    // state did not move.
-                    let forwards = lookup_export(shared, NodeId(target), oid)
-                        .and_then(|h| shared.vms[target as usize].class_of(h))
-                        .and_then(|c| shared.gen_info.get(&c))
-                        .is_some_and(|i| i.proto.is_some());
-                    let promoted = shared.homes.borrow().contains_key(&(target, oid));
-                    shared.obs.borrow_mut().emit(&MonitorEvent::CacheHit {
-                        node: node.0,
-                        owner: target,
-                        oid,
-                        stale_location: forwards || promoted,
-                        span_id: ctx.span_id,
-                        trace_id: ctx.trace_id,
-                    });
-                }
+                record_local_read(
+                    shared,
+                    node,
+                    &base_name,
+                    &proto,
+                    &method,
+                    (target, oid),
+                    "cached",
+                );
                 return marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native);
             }
             Some(_) => bump(shared, node.0, Met::CacheInvalidations),
@@ -2989,14 +2872,9 @@ fn proxy_call(
             {
                 hops += 1;
                 (target, oid) = (nn, noid);
-                let Request::Call { method, args, .. } = req else {
-                    unreachable!("proxy calls only send Call requests")
-                };
-                req = Request::Call {
-                    object: oid,
-                    method,
-                    args,
-                };
+                if let Request::Call { object, .. } = &mut req {
+                    *object = oid;
+                }
                 continue;
             }
         }
@@ -3027,10 +2905,7 @@ fn proxy_call(
                 .universe
                 .by_name(&class)
                 .ok_or_else(|| VmError::Native(format!("unknown exception class {class}")))?;
-            let mut values = Vec::with_capacity(fields.len());
-            for f in &fields {
-                values.push(marshal::wire_to_value(shared, node, f).map_err(VmError::Native)?);
-            }
+            let values = marshal::wire_to_values(shared, node, &fields).map_err(VmError::Native)?;
             let h = vm.alloc_raw(exc_class, values);
             Err(VmError::Exception(h))
         }
@@ -3062,10 +2937,9 @@ fn replica_read(
     if owner == node.0 {
         return Ok(None);
     }
-    let current = version_of(shared, owner, oid);
-    if current == VERSION_TOMBSTONE {
+    let Some(current) = shared.dir.borrow().live_version((owner, oid)) else {
         return Ok(None);
-    }
+    };
     let copy = shared.nodes.borrow()[node.0 as usize]
         .replica_store
         .get(&(owner, oid))
@@ -3084,54 +2958,94 @@ fn replica_read(
     // knowledge needed here, and the temporary is unrooted garbage after
     // the call returns.
     let vm = &shared.vms[node.0 as usize];
-    let mut values = Vec::with_capacity(fields.len());
-    for f in &fields {
-        values.push(marshal::wire_to_value(shared, node, f).map_err(VmError::Native)?);
-    }
+    let values = marshal::wire_to_values(shared, node, &fields).map_err(VmError::Native)?;
     let h = vm.alloc_raw(local_class, values);
     let result = vm.call_virtual(Value::Ref(h), sig, vec![])?;
     bump(shared, node.0, Met::ReplicaReads);
-    // A zero-duration span keeps the read visible in traces; the CacheHit
-    // monitor event puts it under the E14 stale-read oracle like every
-    // other locally served read.
+    record_local_read(
+        shared,
+        node,
+        base_name,
+        proto,
+        method,
+        (owner, oid),
+        "replica_read",
+    );
+    Ok(Some(result))
+}
+
+/// Account for a getter served on `node` with no exchange, from the
+/// property cache or a replica copy (`flag` names which): a zero-duration
+/// `rpc.call` span keeps the read visible in traces, and a
+/// [`MonitorEvent::CacheHit`] puts it under the stale-read oracle.
+fn record_local_read(
+    shared: &Shared,
+    node: NodeId,
+    base_name: &str,
+    proto: &str,
+    method: &str,
+    (owner, oid): Loc,
+    flag: &'static str,
+) {
     let now = shared.net.now().as_ns();
     let ctx = {
         let mut spans = shared.spans.borrow_mut();
-        let sh = spans.start_span("rpc.call", node.0, now);
-        spans.set_attr(sh, "class", base_name);
-        spans.set_attr(sh, "method", method.to_owned());
-        spans.set_attr(sh, "protocol", proto);
-        spans.set_attr(sh, "from", node.0);
-        spans.set_attr(sh, "to", owner);
-        spans.set_attr(sh, "replica_read", true);
-        spans.end_span(sh, now, SpanOutcome::Ok);
-        spans.context_of(sh)
+        let h = spans.start_span("rpc.call", node.0, now);
+        spans.set_attr(h, "class", base_name);
+        spans.set_attr(h, "method", method.to_owned());
+        spans.set_attr(h, "protocol", proto);
+        spans.set_attr(h, "from", node.0);
+        spans.set_attr(h, "to", owner);
+        spans.set_attr(h, flag, true);
+        spans.end_span(h, now, SpanOutcome::Ok);
+        spans.context_of(h)
     };
     if monitors_on(shared) {
-        let forwards = lookup_export(shared, NodeId(owner), oid)
-            .and_then(|h| shared.vms[owner as usize].class_of(h))
-            .and_then(|c| shared.gen_info.get(&c))
-            .is_some_and(|i| i.proto.is_some());
-        let promoted = shared.homes.borrow().contains_key(&(owner, oid));
+        let stale_location = stale_location(shared, (owner, oid));
         shared.obs.borrow_mut().emit(&MonitorEvent::CacheHit {
             node: node.0,
             owner,
             oid,
-            stale_location: forwards || promoted,
+            stale_location,
             span_id: ctx.span_id,
             trace_id: ctx.trace_id,
         });
     }
-    Ok(Some(result))
+}
+
+/// Whether the authoritative copy at `loc` has moved away: the export now
+/// forwards, or the directory links it to a new home. A merely *missing*
+/// export (restart amnesia) is not stale — the version survived, the state
+/// did not move. Deliberately blind to the version: the stale-read monitor
+/// judges cache hits with this, so it must not trust the tombstone whose
+/// absence it exists to catch.
+fn stale_location(shared: &Shared, (owner, oid): Loc) -> bool {
+    let forwards = lookup_export(shared, NodeId(owner), oid)
+        .and_then(|h| shared.vms[owner as usize].class_of(h))
+        .and_then(|c| shared.gen_info.get(&c))
+        .is_some_and(|i| i.proto.is_some());
+    forwards || shared.dir.borrow().successor((owner, oid)).is_some()
+}
+
+/// The live object at `loc` as a remote reference, or `None` when no live
+/// export resolves there.
+fn remote_at(shared: &Shared, (node, object): Loc) -> Option<WireValue> {
+    let h = lookup_export(shared, NodeId(node), object)?;
+    let class = shared.vms[node as usize].class_of(h)?;
+    Some(WireValue::Remote {
+        node,
+        object,
+        class: shared.universe.class(class).name.clone(),
+    })
 }
 
 /// Client-side re-homing after the owner of `(target, oid)` turned out to
-/// be crashed, or restarted with amnesia. Follows the chain of recorded
-/// promotions first; only if it dead-ends on a dead (or amnesiac) location
-/// does it ask that location's replicas — lowest node id first — to promote
-/// their backup copy. On success the proxy `recv` is rewritten in place to
-/// the new home, which is also returned; `None` means no live replica could
-/// take over and the original failure stands.
+/// be crashed, or restarted with amnesia. Follows the directory's chain
+/// of recorded moves first; only if it dead-ends on a dead (or amnesiac)
+/// location does it ask that location's replicas — lowest node id first —
+/// to promote their backup copy. On success the proxy `recv` is rewritten
+/// in place to the new home, which is also returned; `None` means no live
+/// replica could take over and the original failure stands.
 ///
 /// The whole re-homing is wrapped in a `rpc.failover` span chained via
 /// `retry_of` to the exchange that failed, so traces show the causal link
@@ -3194,7 +3108,7 @@ fn failover(
     Some((nn, noid))
 }
 
-/// Find the live home of `(target, oid)`: follow recorded promotions, then
+/// Find the live home of `(target, oid)`: follow recorded moves, then
 /// ask the terminal location's replicas to promote their backup, lowest
 /// node id first. Returns `None` when nobody can take over — the class is
 /// unreplicated, or every backup is down or lost its copy.
@@ -3207,7 +3121,7 @@ fn locate_home(
     oid: u64,
 ) -> Option<(u32, u64)> {
     let crashed = |n: u32| shared.net.fault_plan(|f| f.is_crashed(NodeId(n)));
-    let (tn, toid) = follow_homes(shared, (target, oid));
+    let (tn, toid) = shared.dir.borrow().follow((target, oid));
     // Only route to the chain's end while the promoted copy is actually
     // there: a terminal node that crash-restarted has a wiped registry, and
     // sending callers to it would loop through "unknown object" faults
@@ -3247,33 +3161,6 @@ fn locate_home(
         }
     }
     None
-}
-
-/// Record that the live copy of `old` now lives at `new`. Promotions
-/// *and* migrations both register here: the forwarding proxy a migration
-/// leaves behind lives only in the old node's heap and is lost when that
-/// node crash-restarts, so failover needs a cluster-level record to chase.
-/// The destination stops being a forwarding location the moment something
-/// lands on it, so any stale entry keyed there is dropped — keeping every
-/// chain acyclic and terminated at a live home.
-pub(crate) fn record_home(shared: &Shared, old: (u32, u64), new: (u32, u64)) {
-    let mut homes = shared.homes.borrow_mut();
-    homes.insert(old, new);
-    homes.remove(&new);
-}
-
-/// Follow the chain of recorded promotions and migrations from `start`
-/// to its terminal location. Bounded: every hop was a distinct move,
-/// each to a different location.
-pub(crate) fn follow_homes(shared: &Shared, start: (u32, u64)) -> (u32, u64) {
-    let (mut tn, mut toid) = start;
-    for _ in 0..=shared.vms.len() {
-        match shared.homes.borrow().get(&(tn, toid)) {
-            Some(&(n, o)) => (tn, toid) = (n, o),
-            None => break,
-        }
-    }
-    (tn, toid)
 }
 
 // ----------------------------------------------------------------------
@@ -3462,13 +3349,10 @@ fn flush_error(
                 let Some(exc_class) = shared.universe.by_name(&class) else {
                     return Some(VmError::Native(format!("unknown exception class {class}")));
                 };
-                let mut values = Vec::with_capacity(fields.len());
-                for f in &fields {
-                    match marshal::wire_to_value(shared, from, f) {
-                        Ok(v) => values.push(v),
-                        Err(m) => return Some(VmError::Native(m)),
-                    }
-                }
+                let values = match marshal::wire_to_values(shared, from, &fields) {
+                    Ok(values) => values,
+                    Err(m) => return Some(VmError::Native(m)),
+                };
                 let h = shared.vms[from.0 as usize].alloc_raw(exc_class, values);
                 return Some(VmError::Exception(h));
             }
@@ -3905,16 +3789,7 @@ fn serve_core(
     if let Request::Batch(ops) = &req {
         shared.spans.borrow_mut().set_attr(span, "n_ops", ops.len());
     }
-    // The export whose property version the reply piggybacks. Read *after*
-    // handling, so a setter's own reply already carries the bumped version.
-    let versioned_oid = match &req {
-        Request::Call { object, .. } | Request::Fetch { object } => Some(*object),
-        _ => None,
-    };
-    let version_now =
-        |shared: &Shared| versioned_oid.map_or(0, |oid| version_of(shared, node.0, oid));
-    let reply = handle_request(shared, node, caller, req);
-    let obj_version = version_now(shared);
+    let (reply, obj_version) = handle_request(shared, node, caller, req);
     if monitors_on(shared) {
         shared.obs.borrow_mut().emit(&MonitorEvent::Execution {
             node: node.0,
@@ -3968,13 +3843,21 @@ fn reply_outcome(reply: &Reply) -> SpanOutcome {
 // Server side
 // ----------------------------------------------------------------------
 
-/// Execute a request on `node` (the server side of the RPC).
-pub(crate) fn handle_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -> Reply {
+/// Execute a request on `node` (the server side of the RPC). Returns the
+/// reply and the property version it piggybacks: the addressed export's,
+/// read *after* handling so a setter's own reply carries the bumped
+/// version, or 0 for requests that address no export.
+fn handle_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -> (Reply, u64) {
+    let versioned_oid = match &req {
+        Request::Call { object, .. } | Request::Fetch { object } => Some(*object),
+        _ => None,
+    };
     let reply = dispatch_request(shared, node, caller, req);
     if matches!(reply, Reply::Fault(_)) {
         bump(shared, node.0, Met::Faults);
     }
-    reply
+    let version = versioned_oid.map_or(0, |oid| shared.dir.borrow().version((node.0, oid)));
+    (reply, version)
 }
 
 fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -> Reply {
@@ -4024,13 +3907,10 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             if !is_getter {
                 bump_version(shared, node.0, object);
             }
-            let mut values = Vec::with_capacity(args.len());
-            for a in &args {
-                match marshal::wire_to_value(shared, node, a) {
-                    Ok(v) => values.push(v),
-                    Err(m) => return Reply::Fault(m),
-                }
-            }
+            let values = match marshal::wire_to_values(shared, node, &args) {
+                Ok(values) => values,
+                Err(m) => return Reply::Fault(m),
+            };
             let reply = match vm.call_virtual(Value::Ref(h), sig, values) {
                 Ok(v) => match marshal::value_to_wire(shared, node, &v) {
                     Ok(wv) => Reply::Value(wv),
@@ -4089,29 +3969,21 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
                         .get(&rt_class)
                         .is_some_and(|i| i.proto.is_some());
                     if is_proxy {
-                        if let Some((tn, toid)) = read_proxy_state(vm, h) {
-                            let class = lookup_export(shared, NodeId(tn), toid)
-                                .and_then(|th| shared.vms[tn as usize].class_of(th))
-                                .map(|c| shared.universe.class(c).name.clone());
-                            if let Some(class) = class {
-                                return Reply::Value(WireValue::Remote {
-                                    node: tn,
-                                    object: toid,
-                                    class,
-                                });
-                            }
-                        }
-                        return Reply::Fault(format!("promoted singleton of {class} vanished"));
+                        let promoted =
+                            read_proxy_state(vm, h).and_then(|loc| remote_at(shared, loc));
+                        let Some(remote) = promoted else {
+                            return Reply::Fault(format!("promoted singleton of {class} vanished"));
+                        };
+                        return Reply::Value(remote);
                     }
                     let oid = export(shared, node, h);
                     // Record the canonical export the first time the
                     // singleton becomes remotely visible; singleton
-                    // resolution follows the promotion chain from here.
+                    // resolution follows the directory's links from here.
                     shared
-                        .statics_exports
+                        .dir
                         .borrow_mut()
-                        .entry(class.clone())
-                        .or_insert((node.0, oid));
+                        .register_singleton(&class, (node.0, oid));
                     sync_replicas(shared, node, oid);
                     Reply::Value(WireValue::Remote {
                         node: node.0,
@@ -4132,13 +4004,10 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             let Some((class, fields)) = vm.read_object(h) else {
                 return Reply::Fault("stale export".into());
             };
-            let mut wire_fields = Vec::with_capacity(fields.len());
-            for f in &fields {
-                match marshal::value_to_wire(shared, node, f) {
-                    Ok(wv) => wire_fields.push(wv),
-                    Err(m) => return Reply::Fault(m),
-                }
-            }
+            let wire_fields = match marshal::values_to_wire(shared, node, &fields) {
+                Ok(wire_fields) => wire_fields,
+                Err(m) => return Reply::Fault(m),
+            };
             Reply::Value(WireValue::ObjectState {
                 class: shared.universe.class(class).name.clone(),
                 fields: wire_fields,
@@ -4149,26 +4018,9 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             let WireValue::ObjectState { class, fields } = state else {
                 return Reply::Fault("install needs object state".into());
             };
-            let Some(class_id) = shared.universe.by_name(&class) else {
-                return Reply::Fault(format!("unknown class {class}"));
-            };
-            let mut values = Vec::with_capacity(fields.len());
-            for f in &fields {
-                match marshal::wire_to_value(shared, node, f) {
-                    Ok(v) => values.push(v),
-                    Err(m) => return Reply::Fault(m),
-                }
-            }
-            // If this node already holds a proxy for the migrating object,
-            // rewrite it in place — existing local references then see the
-            // object as local, with no double hop through the old owner.
-            let existing = source.and_then(|(n, o)| cached_import(shared, node, n, o));
-            let h = match existing {
-                Some(ph) if vm.class_of(ph).is_some() => {
-                    vm.replace_object(ph, class_id, values);
-                    ph
-                }
-                _ => vm.alloc_raw(class_id, values),
+            let h = match materialise(shared, node, &class, &fields, source) {
+                Ok(h) => h,
+                Err(m) => return Reply::Fault(m),
             };
             let oid = export(shared, node, h);
             // Freshly installed state supersedes anything cached about a
@@ -4210,7 +4062,7 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // The export now forwards; reads through this location must
             // never be served from a cache again, and the location moves
             // to the forwards side-table so the sweep stops probing it.
-            tombstone_version(shared, node.0, object);
+            shared.dir.borrow_mut().tombstone((node.0, object));
             demote_export_to_forward(shared, node.0, object);
             Reply::Value(WireValue::Null)
         }
@@ -4237,21 +4089,13 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             let key = (old_node, old_object);
             // Idempotency: if this object was already promoted, report the
             // recorded home instead of materialising a second copy from a
-            // (possibly stale) backup. Consulting the shared homes table
-            // stands in for the promotion registry a real system would
-            // replicate alongside the data.
-            let recorded = shared.homes.borrow().get(&key).copied();
-            if let Some((hn, hoid)) = recorded {
-                let home_vm = &shared.vms[hn as usize];
-                let class = lookup_export(shared, NodeId(hn), hoid)
-                    .and_then(|h| home_vm.class_of(h))
-                    .map(|c| shared.universe.class(c).name.clone());
-                return match class {
-                    Some(class) => Reply::Value(WireValue::Remote {
-                        node: hn,
-                        object: hoid,
-                        class,
-                    }),
+            // (possibly stale) backup. The directory stands in for the
+            // promotion registry a real system would replicate alongside
+            // the data.
+            let recorded = shared.dir.borrow().successor(key);
+            if let Some(home) = recorded {
+                return match remote_at(shared, home) {
+                    Some(remote) => Reply::Value(remote),
                     None => {
                         Reply::Fault(format!("promoted copy of {old_node}#{old_object} vanished"))
                     }
@@ -4263,34 +4107,16 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             let Some((_, class, fields)) = entry else {
                 return Reply::Fault(format!("no replica of {old_node}#{old_object} on {node}"));
             };
-            let Some(class_id) = shared.universe.by_name(&class) else {
-                return Reply::Fault(format!("unknown class {class}"));
-            };
-            let mut values = Vec::with_capacity(fields.len());
-            for f in &fields {
-                match marshal::wire_to_value(shared, node, f) {
-                    Ok(v) => values.push(v),
-                    Err(m) => return Reply::Fault(m),
-                }
-            }
-            // Like Install: a proxy this node already holds for the dead
-            // primary is rewritten in place, so existing local references
-            // see the promoted copy as local.
-            let existing = cached_import(shared, node, old_node, old_object);
-            let h = match existing {
-                Some(ph) if vm.class_of(ph).is_some() => {
-                    vm.replace_object(ph, class_id, values);
-                    ph
-                }
-                _ => vm.alloc_raw(class_id, values),
+            let h = match materialise(shared, node, &class, &fields, Some(key)) {
+                Ok(h) => h,
+                Err(m) => return Reply::Fault(m),
             };
             let oid = export(shared, node, h);
             // The promoted copy supersedes anything cached about either
             // location: bump the new home, tombstone the dead one, and drop
             // affinity data describing traffic the object received there.
             bump_version(shared, node.0, oid);
-            tombstone_version(shared, old_node, old_object);
-            record_home(shared, key, (node.0, oid));
+            shared.dir.borrow_mut().moved(key, (node.0, oid));
             purge_call_counts(shared, &[key, (node.0, oid)]);
             bump(shared, node.0, Met::Promotions);
             // Re-establish the replication factor from the new home, so a
@@ -4310,12 +4136,7 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
             // (a later op in the same batch may move it again).
             let mut results = Vec::with_capacity(ops.len());
             for op in ops {
-                let versioned_oid = match &op {
-                    Request::Call { object, .. } | Request::Fetch { object } => Some(*object),
-                    _ => None,
-                };
-                let reply = handle_request(shared, node, caller, op);
-                let version = versioned_oid.map_or(0, |oid| version_of(shared, node.0, oid));
+                let (reply, version) = handle_request(shared, node, caller, op);
                 results.push((version, reply));
             }
             Reply::Batch(results)
@@ -4323,18 +4144,44 @@ fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request)
     }
 }
 
+/// Materialise an installed or promoted object on `node` from its wire
+/// state. A proxy the node already holds for its previous location `was`
+/// is rewritten in place, so existing local references see the object as
+/// local, with no double hop through the old owner; otherwise the object
+/// is freshly allocated.
+fn materialise(
+    shared: &Shared,
+    node: NodeId,
+    class: &str,
+    fields: &[WireValue],
+    was: Option<Loc>,
+) -> Result<Handle, String> {
+    let class_id = shared
+        .universe
+        .by_name(class)
+        .ok_or_else(|| format!("unknown class {class}"))?;
+    let values = marshal::wire_to_values(shared, node, fields)?;
+    let vm = &shared.vms[node.0 as usize];
+    Ok(
+        match was.and_then(|(n, o)| cached_import(shared, node, n, o)) {
+            Some(ph) if vm.class_of(ph).is_some() => {
+                vm.replace_object(ph, class_id, values);
+                ph
+            }
+            _ => vm.alloc_raw(class_id, values),
+        },
+    )
+}
+
 fn exception_reply(shared: &Shared, node: NodeId, exc: Handle) -> Reply {
     let vm = &shared.vms[node.0 as usize];
     let Some((class, fields)) = vm.read_object(exc) else {
         return Reply::Fault("stale exception".into());
     };
-    let mut wire_fields = Vec::with_capacity(fields.len());
-    for f in &fields {
-        match marshal::value_to_wire(shared, node, f) {
-            Ok(wv) => wire_fields.push(wv),
-            Err(m) => return Reply::Fault(m),
-        }
-    }
+    let wire_fields = match marshal::values_to_wire(shared, node, &fields) {
+        Ok(wire_fields) => wire_fields,
+        Err(m) => return Reply::Fault(m),
+    };
     Reply::Exception {
         class: shared.universe.class(class).name.clone(),
         fields: wire_fields,
@@ -4464,12 +4311,12 @@ pub(crate) fn maybe_sample(shared: &Shared) {
     };
     let lag = {
         let nodes = shared.nodes.borrow();
-        let versions = shared.versions.borrow();
+        let dir = shared.dir.borrow();
         let mut lag = 0u64;
         for (owner, state) in nodes.iter().enumerate() {
             for (&oid, &(synced, _)) in &state.synced_versions {
-                let current = versions.get(&(owner as u32, oid)).copied().unwrap_or(0);
-                if current != VERSION_TOMBSTONE && current != synced {
+                let current = dir.live_version((owner as u32, oid));
+                if current.is_some_and(|v| v != synced) {
                     lag += 1;
                 }
             }
@@ -4535,12 +4382,11 @@ fn collect_replica_probes(shared: &Shared) -> Vec<MonitorEvent> {
         for key in keys {
             let (backup_version, class_name, fields) = &state.replica_store[&key];
             let (owner, oid) = key;
-            let owner_version = version_of(shared, owner, oid);
-            if owner_version == VERSION_TOMBSTONE {
+            let Some(owner_version) = shared.dir.borrow().live_version((owner, oid)) else {
                 // The object migrated away; the replica describes a dead
                 // location and will be superseded by the new home's syncs.
                 continue;
-            }
+            };
             let Some(h) = nodes[owner as usize].exports.get(&oid).copied() else {
                 // Owner restarted with amnesia; nothing to compare until
                 // the next sync re-seeds the backup.
@@ -4641,20 +4487,6 @@ pub(crate) fn placement_table(shared: &Shared) -> String {
             })
             .collect();
         let _ = writeln!(out, "node{i}: [{}]", entries.join(", "));
-    }
-    out
-}
-
-/// The failover-homes map as served by `rafda.Introspection`: recorded
-/// promotions `(old home) -> (new home)`, sorted by old location.
-pub(crate) fn homes_table(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let homes = shared.homes.borrow();
-    let mut entries: Vec<((u32, u64), (u32, u64))> = homes.iter().map(|(&k, &v)| (k, v)).collect();
-    entries.sort_unstable();
-    let mut out = String::new();
-    for ((on, oo), (nn, no)) in entries {
-        let _ = writeln!(out, "node{on}#{oo} -> node{nn}#{no}");
     }
     out
 }
@@ -4778,7 +4610,7 @@ mod tests {
             },
         );
         assert!(matches!(r2, Reply::Value(_)));
-        let current = version_of(shared, 1, oid);
+        let current = shared.dir.borrow().version((1, oid));
         assert!(current > v1, "the mutation must bump the version");
         // The retransmission of 900 dedups. Its reply must carry v1: tagged
         // with `current`, the client would cache the pre-mutation value as

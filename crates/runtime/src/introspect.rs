@@ -1,7 +1,8 @@
 //! The reflective capstone of the observability plane: a synthetic
 //! `rafda.Introspection` class whose getters serve the cluster's own
-//! runtime state — node stats, policy tables, placement and failover-home
-//! maps, the Prometheus export — over the **normal RMI path**.
+//! runtime state — node stats, policy tables, the placement map, the
+//! directory's move links (`homes`: every migration, pull and promotion),
+//! the Prometheus export — over the **normal RMI path**.
 //!
 //! This is the paper's reflection argument turned on the runtime itself:
 //! instead of a privileged out-of-band admin channel, telemetry is just
@@ -107,7 +108,7 @@ pub(crate) fn refresh_native(
     let stats = cluster::merged_stats(shared).to_string();
     let policy = cluster::policy_table(shared);
     let placement = cluster::placement_table(shared);
-    let homes = cluster::homes_table(shared);
+    let homes = shared.dir.borrow().links_table();
     let prometheus = cluster::prometheus_text_of(shared);
     let values: Vec<Value> = shared
         .universe

@@ -36,6 +36,19 @@ pub(crate) fn value_to_wire(shared: &Shared, node: NodeId, v: &Value) -> Result<
     value_to_wire_rec(shared, node, v, 0)
 }
 
+/// [`value_to_wire`] over a slice, in order; stops at the first failure.
+pub(crate) fn values_to_wire(
+    shared: &Shared,
+    node: NodeId,
+    values: &[Value],
+) -> Result<Vec<WireValue>, String> {
+    let mut out = Vec::with_capacity(values.len());
+    for v in values {
+        out.push(value_to_wire(shared, node, v)?);
+    }
+    Ok(out)
+}
+
 fn value_to_wire_rec(
     shared: &Shared,
     node: NodeId,
@@ -199,4 +212,17 @@ pub(crate) fn wire_to_value(
             Value::Ref(vm.alloc_raw(class_id, values))
         }
     })
+}
+
+/// [`wire_to_value`] over a slice, in order; stops at the first failure.
+pub(crate) fn wire_to_values(
+    shared: &Shared,
+    node: NodeId,
+    wire: &[WireValue],
+) -> Result<Vec<Value>, String> {
+    let mut out = Vec::with_capacity(wire.len());
+    for wv in wire {
+        out.push(wire_to_value(shared, node, wv)?);
+    }
+    Ok(out)
 }

@@ -385,3 +385,38 @@ fn soap_rejects_headerless_envelopes_and_objverless_replies() {
     let err = codec.decode_reply(objverless.as_bytes()).unwrap_err();
     assert!(err.to_string().contains("missing rafda:objver"), "{err}");
 }
+
+/// Every RMI frame of this build is version 7 (stateless) or 8 (interned).
+/// Any other version byte — the retired pre-tracing, pre-caching,
+/// pre-failover and pre-batching layouts, or one from the future — is
+/// rejected by both the request-header and the reply decoder.
+#[test]
+fn rmi_rejects_every_version_it_does_not_emit() {
+    let codec = RmiCodec::new();
+    let ctx = TraceContext {
+        trace_id: 5,
+        span_id: 6,
+        parent_span_id: 1,
+    };
+    let request = codec
+        .encode_request(9, ctx, &Request::Fetch { object: 2 })
+        .unwrap();
+    let reply = codec
+        .encode_reply(9, ctx, 4, &Reply::Value(WireValue::Int(3)))
+        .unwrap();
+    for version in [0u8, 3, 4, 5, 6, 9] {
+        let (mut req, mut rep) = (request.clone(), reply.clone());
+        req[4] = version;
+        rep[4] = version;
+        for err in [
+            codec.decode_request_header(&req).map(|_| ()).unwrap_err(),
+            codec.decode_reply(&rep).map(|_| ()).unwrap_err(),
+        ] {
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported RMI frame version {version}")),
+                "version {version}: {err}"
+            );
+        }
+    }
+}

@@ -511,3 +511,30 @@ fn an_array_store_in_a_pulled_object_reships_at_the_next_exchange() {
     );
     assert_eq!(cluster.check_invariants(), vec![]);
 }
+
+#[test]
+fn failover_follows_a_move_chain_longer_than_the_node_count() {
+    // Every migration onto a node that holds no import for the source
+    // mints a fresh export id, so rotating one object over three nodes
+    // grows its chain of recorded moves by one link per move. The lineage
+    // walk must follow all of them: a walk cut off after `node_count + 1`
+    // hops stops at a forwarding stub mid-chain, and the call pays a second
+    // failed forward and a second failover before it reaches the copy.
+    let (cluster, c) = deployed(4, 1, N0, 21);
+    let mut at = N1;
+    for _ in 0..7 {
+        let to = NodeId(at.0 % 3 + 1);
+        cluster
+            .migrate(at, home_handle(&cluster, at), to)
+            .expect("migrate");
+        at = to;
+    }
+    assert_eq!(at, N2, "the rotation ends on node 2");
+    cluster.crash(N2);
+    let before = cluster.stats();
+    assert_eq!(bump(&cluster, N0, &c, 1).unwrap(), Value::Int(6));
+    let after = cluster.stats();
+    assert_eq!(after.failovers - before.failovers, 1, "{after}");
+    assert_eq!(after.net_failures - before.net_failures, 1, "{after}");
+    assert_eq!(after.exchanges() - before.exchanges(), 6, "{after}");
+}
