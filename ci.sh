@@ -66,7 +66,7 @@ echo "== rustfmt =="
 cargo fmt --check
 
 echo "== clippy =="
-cargo clippy -- -D warnings
+cargo clippy --all-targets -- -D warnings
 
 echo "== rustdoc (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --locked --offline --quiet

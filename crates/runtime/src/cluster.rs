@@ -1,29 +1,47 @@
-//! The distributed runtime proper: nodes, registries, factory & proxy
-//! hooks, RPC dispatch, migration and adaptation.
+//! The distributed runtime's core: deployment, the state every mechanism
+//! shares, hook installation, the [`Cluster`] entry points, and boundary
+//! changes (migrate, pull, crash, restart, GC).
+//!
+//! Each distribution mechanism lives in its own module and owns its state
+//! behind private fields: handle tables in `registry`, crash-stop
+//! replication in `replication`, batched invocation in `batching`,
+//! exchanges and duplicate suppression in `rpc`, request execution in
+//! `serve`, proxy calls and failover in `client`, affinity and sharding in
+//! `placement`, counters and exports in `obs`. `Shared` holds the
+//! cross-cutting core plus one field per mechanism.
 
-use crate::directory::{Directory, Loc, VERSION_TOMBSTONE};
+use crate::batching::{flush_outqueues, Batching};
+use crate::client::{discover_value, make_value, proxy_call, PropCache};
+use crate::directory::Directory;
 use crate::error::RuntimeError;
 use crate::introspect;
 use crate::marshal;
-use crate::obs::{Met, Obs};
-use rafda_classmodel::{ClassId, ClassUniverse, SigId, Ty};
-use rafda_net::{BufPool, NetError, Network, NodeId, SimTime};
-use rafda_policy::{AffinityConfig, DistributionPolicy};
-use rafda_telemetry::{
-    standard_monitors, MonitorEvent, SpanLog, SpanOutcome, TraceContext, Violation,
+use crate::obs::{self, bump, Met, Obs};
+use crate::placement::{purge_call_counts, CallCounts, Placement};
+use crate::registry::{
+    self, cache_import, demote_export_to_forward, export, proxy_fields, read_proxy_state,
+    NodeRegistry, Presence,
 };
+use crate::replication::{
+    self, bump_version, collect_replica_probes, mark_node_dirty, sync_dirty_replicas,
+    sync_replicas, NodeReplicas, Replication,
+};
+use crate::rpc::{rpc, ReplyCache, RpcState};
+use rafda_classmodel::{ClassId, ClassUniverse, SigId};
+use rafda_net::{Network, NodeId, SimTime};
+use rafda_policy::DistributionPolicy;
+use rafda_telemetry::{standard_monitors, SpanLog, SpanOutcome, Violation};
 use rafda_transform::TransformPlan;
-use rafda_vm::{
-    Handle, Heap, HeapEntry, NetFailure, NetFailureKind, Trace, TraceEvent, Value, Vm, VmError,
-};
-use rafda_wire::{
-    FrameHeader, Protocol, ProtocolKind, Reply, Request, RequestKind, SigTable, WireValue,
-};
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use rafda_vm::{Handle, Trace, TraceEvent, Value, Vm, VmError};
+use rafda_wire::{Reply, Request, WireValue};
+use std::cell::{Ref, RefCell, RefMut};
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
+
+pub use crate::obs::RuntimeStats;
+pub use crate::rpc::RetryPolicy;
 
 /// Which half of an artefact family a generated class belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,432 +61,35 @@ pub(crate) struct GenInfo {
     pub proto: Option<String>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SingletonState {
-    InProgress(Handle),
-    Ready(Handle),
-}
+impl GenInfo {
+    /// A `*_Local` implementation: the object lives where its handle is.
+    pub(crate) fn is_local(&self) -> bool {
+        self.proto.is_none()
+    }
 
-impl SingletonState {
-    fn handle(self) -> Handle {
-        match self {
-            SingletonState::InProgress(h) | SingletonState::Ready(h) => h,
-        }
+    /// A proxy: the object lives on the node its fields point at.
+    pub(crate) fn is_proxy(&self) -> bool {
+        self.proto.is_some()
+    }
+
+    /// Whether `sig` is one of the family's generated property getters.
+    pub(crate) fn is_getter(&self, plan: &TransformPlan, sig: SigId) -> bool {
+        plan.family(self.base).is_some_and(|f| match self.side {
+            Side::Obj => f.getters.contains(&sig),
+            Side::Cls => f.static_getters.contains(&sig),
+        })
     }
 }
 
-/// How many served replies each node remembers for duplicate suppression.
-/// Bounded FIFO: old entries are evicted once the cache is full, which is
-/// safe because a client only retransmits while its call is still open —
-/// ids far in the past can no longer be retried.
-const REPLY_CACHE_CAP: usize = 1024;
-
-/// How many property values each node's proxy-side cache holds. Bounded
-/// FIFO like the reply cache; a modest cap keeps the per-node footprint
-/// proportional to its working set of remote reads.
-const PROP_CACHE_CAP: usize = 1024;
-
-/// Per-node registry state.
+/// One node's volatile state, one member per mechanism. A crash-restart
+/// replaces it whole (see [`Cluster::restart`]).
 #[derive(Debug, Default)]
 pub(crate) struct NodeState {
-    exports: HashMap<u64, Handle>,
-    export_ids: HashMap<Handle, u64>,
-    /// Forwarding stubs left behind by a migration or pull: the export id
-    /// still resolves (through [`lookup_export`]) to the in-place-rewritten
-    /// proxy so transparent forwarding keeps working, but the entry is
-    /// *purged* from [`NodeState::exports`] — sweeps, affinity purges and
-    /// registry summaries see only live objects. The reverse
-    /// [`NodeState::export_ids`] mapping is kept so re-exporting the same
-    /// handle (the object migrating back home) reuses its original id.
-    forwards: HashMap<u64, Handle>,
-    /// Export ids on this node that are locally implemented *and* belong to
-    /// a replicated class — the only locations a dirty-set mark can ever
-    /// make shippable. A `BTreeSet` so node-level conservative marks insert
-    /// in ascending id order.
-    replicated: BTreeSet<u64>,
-    next_oid: u64,
-    imports: HashMap<(u32, u64), Handle>,
-    singletons: HashMap<ClassId, SingletonState>,
-    /// Per-exported-object incoming call counts by caller node.
-    call_counts: HashMap<u64, HashMap<u32, u64>>,
-    /// Host-pinned GC roots (references held outside the simulation, e.g.
-    /// by embedding Rust code).
-    pins: std::collections::HashSet<Handle>,
-    /// At-most-once reply cache: replies already sent, keyed by
-    /// `(caller node, message id)`, each paired with the addressed export's
-    /// property version **at serve time**. A retransmitted request is
-    /// answered from here instead of re-running the method, and it replays
-    /// the stored version too: the reply describes the state the method ran
-    /// against, and recomputing the version at retransmit time would let a
-    /// dedup hit validate a cache entry against state the original
-    /// execution never saw.
-    reply_cache: HashMap<(u32, u64), (Reply, u64)>,
-    /// Insertion order of `reply_cache` keys, for FIFO eviction.
-    reply_cache_order: VecDeque<(u32, u64)>,
-    /// Proxy-side property cache: values returned by remote `get_f` calls,
-    /// keyed `(owner node, export id, getter sig)` and tagged with the
-    /// owner's property version at reply time. An entry is served only
-    /// while its tag still equals the owner's current version. Values are
-    /// kept in wire form so each hit re-materialises exactly like a fresh
-    /// reply (arrays copy by value, references resolve via the import
-    /// cache — and hold no GC-visible handles).
-    prop_cache: HashMap<(u32, u64, SigId), (u64, WireValue)>,
-    /// Insertion order of `prop_cache` keys, for FIFO eviction.
-    prop_cache_order: VecDeque<(u32, u64, SigId)>,
-    /// Backup copies of replicated exports owned by *other* nodes, keyed by
-    /// the primary's location `(owner node, export id)`. The value is the
-    /// owner's property version plus the object's class name and marshalled
-    /// fields, exactly as shipped by the last [`Request::ReplicaSync`]. The
-    /// state stays in wire form until a [`Request::Promote`] materialises
-    /// it — a backup that never promotes costs no heap objects.
-    replica_store: HashMap<(u32, u64), (u64, String, Vec<WireValue>)>,
-    /// The property version and marshalled state each local export last
-    /// shipped to its backups. [`sync_replicas`] skips the per-target
-    /// exchanges when both are unchanged — repeated `Discover`/`Create`
-    /// serves of an unmutated object would otherwise re-ship identical
-    /// state. When the *state* moved but the version did not (a local call
-    /// mutated a promoted or pulled replica without a serve in between),
-    /// the sync bumps the version itself before shipping. Cleared
-    /// cluster-wide on every restart so a rejoining backup is re-seeded at
-    /// the owner's next sync.
-    synced_versions: HashMap<u64, (u64, Vec<WireValue>)>,
-}
-
-/// Client-side fault tolerance for one request/reply exchange.
-///
-/// Only *transient* failures (dropped messages) are retried; partitions,
-/// crashes and bad addresses fail fast — retrying cannot help until an
-/// operator-level event heals them. Each retry charges `backoff_ns` to the
-/// **simulated** clock, so runs stay deterministic per seed and the time
-/// cost of fault tolerance is visible in the experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total transmission attempts per exchange (≥ 1; 1 disables retry).
-    pub max_attempts: u32,
-    /// Simulated backoff before the first retry, in nanoseconds.
-    pub base_backoff_ns: u64,
-    /// Exponential backoff multiplier applied per further retry.
-    pub multiplier: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 6,
-            base_backoff_ns: 200_000,
-            multiplier: 2,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No fault tolerance: a single attempt, any failure surfaces at once.
-    /// (The pre-retry behaviour, useful for failure-injection tests.)
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff_ns: 0,
-            multiplier: 1,
-        }
-    }
-
-    /// Backoff charged before retry number `retry` (1-based): exponential
-    /// in the number of failures seen so far, saturating instead of
-    /// overflowing.
-    pub fn backoff_ns(&self, retry: u32) -> u64 {
-        let exp = retry.saturating_sub(1);
-        (self.multiplier as u64)
-            .saturating_pow(exp)
-            .saturating_mul(self.base_backoff_ns)
-    }
-}
-
-/// Aggregate runtime statistics.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RuntimeStats {
-    /// Remote method invocations served.
-    pub rpc_calls: u64,
-    /// Remote creations served.
-    pub rpc_creates: u64,
-    /// Remote singleton discoveries served.
-    pub rpc_discovers: u64,
-    /// State fetches served (migration).
-    pub rpc_fetches: u64,
-    /// State installs served (migration).
-    pub rpc_installs: u64,
-    /// Forward swaps served (boundary pulls).
-    pub rpc_forwards: u64,
-    /// Objects migrated (including adaptation).
-    pub migrations: u64,
-    /// Objects pulled local.
-    pub pulls: u64,
-    /// Requests answered with a fault (server-side errors; network-level
-    /// failures are counted separately in [`RuntimeStats::net_failures`]).
-    pub faults: u64,
-    /// Client-side retry rounds: transmission attempts beyond each
-    /// exchange's first.
-    pub retries: u64,
-    /// Retransmitted requests that reached the server (a retry whose
-    /// request transmission succeeded).
-    pub retransmits: u64,
-    /// Retransmissions answered from the reply cache instead of re-running
-    /// the method (the at-most-once guarantee doing its job).
-    pub dedup_hits: u64,
-    /// Exchanges that exhausted the retry budget or hit a non-transient
-    /// network failure. Distinct from `faults`: the server never answered.
-    pub net_failures: u64,
-    /// Property (`get_f`) reads answered from the proxy-side cache —
-    /// no network exchange happened at all.
-    pub cache_hits: u64,
-    /// Cacheable property reads that had to go remote (no entry, or a
-    /// stale entry that was refreshed by the exchange).
-    pub cache_misses: u64,
-    /// Cached property entries found stale — the owner's version moved
-    /// past the tag — and dropped before going remote.
-    pub cache_invalidations: u64,
-    /// Replica state syncs served: one per backup shipped after a served
-    /// mutation (or export) of a replicated object.
-    pub replica_syncs: u64,
-    /// Replica promotions served: a backup materialised its stored state
-    /// and became the new owner after the primary crashed.
-    pub promotions: u64,
-    /// Client-side failovers: calls re-homed from a crashed owner to a
-    /// (promoted) replica and retried successfully.
-    pub failovers: u64,
-    /// Operations deferred onto a per-`(caller, owner)` outcall queue
-    /// instead of being sent as their own exchange (void calls on batched
-    /// classes, plus replica shipments of batched classes).
-    pub batched_ops: u64,
-    /// Outcall queues drained: each flush ships one queue as a single
-    /// [`Request::Batch`] exchange at a synchronization point.
-    pub flushes: u64,
-    /// Sharded instances placed onto their shard's node after construction
-    /// (a `shard by` policy rule routing a fresh object).
-    pub shard_placements: u64,
-    /// Whole shards moved between nodes by the rebalance tick reacting to
-    /// hot-key skew in the observed call counts.
-    pub shard_rebalances: u64,
-    /// Getter calls served from a same-version local replica copy instead
-    /// of an owner exchange (a `reads from replicas` policy rule).
-    pub replica_reads: u64,
-    /// Dirty-set entries the replica sweep offered to
-    /// [`sync_replicas`](crate::cluster) — each one a state comparison
-    /// against the last shipment, charged to the owner. The sweep's cost
-    /// measure: O(dirty) per synchronization point, not O(exports).
-    pub replica_sweep_probes: u64,
-    /// `(node, oid)` dirty-set insertions recorded (version bumps, served
-    /// mutations, fresh replicated exports, and conservative node-level
-    /// marks while application code runs locally). Marks bound probes:
-    /// every probe was a mark first.
-    pub dirty_marks: u64,
-    /// Histogram of attempts used per finished exchange: bucket `i` counts
-    /// exchanges that took `i + 1` attempts (the last bucket saturates).
-    pub attempts: [u64; 8],
-    /// Signature-position strings sent as an interned reference instead of
-    /// inline text (summed over every directed link's table).
-    pub sig_refs: u64,
-    /// Signature-position strings defined (sent inline and interned) —
-    /// each one a table entry later frames reference.
-    pub sig_defs: u64,
-    /// Frame encodes served by a pooled buffer instead of a fresh
-    /// allocation.
-    pub wire_buf_reuses: u64,
-}
-
-impl RuntimeStats {
-    /// Add every counter of `other` into `self` — the merge
-    /// [`Cluster::stats`] folds per-node breakdowns with.
-    pub fn merge(&mut self, other: &RuntimeStats) {
-        let RuntimeStats {
-            rpc_calls,
-            rpc_creates,
-            rpc_discovers,
-            rpc_fetches,
-            rpc_installs,
-            rpc_forwards,
-            migrations,
-            pulls,
-            faults,
-            retries,
-            retransmits,
-            dedup_hits,
-            net_failures,
-            cache_hits,
-            cache_misses,
-            cache_invalidations,
-            replica_syncs,
-            promotions,
-            failovers,
-            batched_ops,
-            flushes,
-            shard_placements,
-            shard_rebalances,
-            replica_reads,
-            replica_sweep_probes,
-            dirty_marks,
-            attempts,
-            sig_refs,
-            sig_defs,
-            wire_buf_reuses,
-        } = other;
-        self.rpc_calls += rpc_calls;
-        self.rpc_creates += rpc_creates;
-        self.rpc_discovers += rpc_discovers;
-        self.rpc_fetches += rpc_fetches;
-        self.rpc_installs += rpc_installs;
-        self.rpc_forwards += rpc_forwards;
-        self.migrations += migrations;
-        self.pulls += pulls;
-        self.faults += faults;
-        self.retries += retries;
-        self.retransmits += retransmits;
-        self.dedup_hits += dedup_hits;
-        self.net_failures += net_failures;
-        self.cache_hits += cache_hits;
-        self.cache_misses += cache_misses;
-        self.cache_invalidations += cache_invalidations;
-        self.replica_syncs += replica_syncs;
-        self.promotions += promotions;
-        self.failovers += failovers;
-        self.batched_ops += batched_ops;
-        self.flushes += flushes;
-        self.shard_placements += shard_placements;
-        self.shard_rebalances += shard_rebalances;
-        self.replica_reads += replica_reads;
-        self.replica_sweep_probes += replica_sweep_probes;
-        self.dirty_marks += dirty_marks;
-        for (slot, c) in self.attempts.iter_mut().zip(attempts) {
-            *slot += c;
-        }
-        self.sig_refs += sig_refs;
-        self.sig_defs += sig_defs;
-        self.wire_buf_reuses += wire_buf_reuses;
-    }
-
-    /// Counter-wise difference `self − earlier` (saturating), for
-    /// reporting what a bounded run added on top of its setup — the soak
-    /// report's per-phase metric deltas are computed with this.
-    pub fn delta_from(&self, earlier: &RuntimeStats) -> RuntimeStats {
-        let mut d = *self;
-        let RuntimeStats {
-            rpc_calls,
-            rpc_creates,
-            rpc_discovers,
-            rpc_fetches,
-            rpc_installs,
-            rpc_forwards,
-            migrations,
-            pulls,
-            faults,
-            retries,
-            retransmits,
-            dedup_hits,
-            net_failures,
-            cache_hits,
-            cache_misses,
-            cache_invalidations,
-            replica_syncs,
-            promotions,
-            failovers,
-            batched_ops,
-            flushes,
-            shard_placements,
-            shard_rebalances,
-            replica_reads,
-            replica_sweep_probes,
-            dirty_marks,
-            attempts,
-            sig_refs,
-            sig_defs,
-            wire_buf_reuses,
-        } = earlier;
-        d.rpc_calls = d.rpc_calls.saturating_sub(*rpc_calls);
-        d.rpc_creates = d.rpc_creates.saturating_sub(*rpc_creates);
-        d.rpc_discovers = d.rpc_discovers.saturating_sub(*rpc_discovers);
-        d.rpc_fetches = d.rpc_fetches.saturating_sub(*rpc_fetches);
-        d.rpc_installs = d.rpc_installs.saturating_sub(*rpc_installs);
-        d.rpc_forwards = d.rpc_forwards.saturating_sub(*rpc_forwards);
-        d.migrations = d.migrations.saturating_sub(*migrations);
-        d.pulls = d.pulls.saturating_sub(*pulls);
-        d.faults = d.faults.saturating_sub(*faults);
-        d.retries = d.retries.saturating_sub(*retries);
-        d.retransmits = d.retransmits.saturating_sub(*retransmits);
-        d.dedup_hits = d.dedup_hits.saturating_sub(*dedup_hits);
-        d.net_failures = d.net_failures.saturating_sub(*net_failures);
-        d.cache_hits = d.cache_hits.saturating_sub(*cache_hits);
-        d.cache_misses = d.cache_misses.saturating_sub(*cache_misses);
-        d.cache_invalidations = d.cache_invalidations.saturating_sub(*cache_invalidations);
-        d.replica_syncs = d.replica_syncs.saturating_sub(*replica_syncs);
-        d.promotions = d.promotions.saturating_sub(*promotions);
-        d.failovers = d.failovers.saturating_sub(*failovers);
-        d.batched_ops = d.batched_ops.saturating_sub(*batched_ops);
-        d.flushes = d.flushes.saturating_sub(*flushes);
-        d.shard_placements = d.shard_placements.saturating_sub(*shard_placements);
-        d.shard_rebalances = d.shard_rebalances.saturating_sub(*shard_rebalances);
-        d.replica_reads = d.replica_reads.saturating_sub(*replica_reads);
-        d.replica_sweep_probes = d.replica_sweep_probes.saturating_sub(*replica_sweep_probes);
-        d.dirty_marks = d.dirty_marks.saturating_sub(*dirty_marks);
-        for (slot, c) in d.attempts.iter_mut().zip(attempts) {
-            *slot = slot.saturating_sub(*c);
-        }
-        d.sig_refs = d.sig_refs.saturating_sub(*sig_refs);
-        d.sig_defs = d.sig_defs.saturating_sub(*sig_defs);
-        d.wire_buf_reuses = d.wire_buf_reuses.saturating_sub(*wire_buf_reuses);
-        d
-    }
-
-    /// Total finished exchanges recorded in the attempts histogram.
-    pub fn exchanges(&self) -> u64 {
-        self.attempts.iter().sum()
-    }
-
-    /// Mean transmission attempts per finished exchange (1.0 when no
-    /// exchange ever retried; 0.0 before any exchange finished).
-    pub fn mean_attempts(&self) -> f64 {
-        let exchanges = self.exchanges();
-        if exchanges == 0 {
-            return 0.0;
-        }
-        let total: u64 = self
-            .attempts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as u64 + 1) * c)
-            .sum();
-        total as f64 / exchanges as f64
-    }
-}
-
-impl fmt::Display for RuntimeStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} rpc exchanges (mean {:.2} attempts), {} retries, \
-             {} retransmits, {} dedup hits, {} net failures, {} faults, \
-             property cache {} hits / {} misses / {} invalidations, \
-             {} replica syncs / {} promotions / {} failovers, \
-             {} batched ops / {} flushes, \
-             {} shard placements / {} shard rebalances / {} replica reads",
-            self.exchanges(),
-            self.mean_attempts(),
-            self.retries,
-            self.retransmits,
-            self.dedup_hits,
-            self.net_failures,
-            self.faults,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_invalidations,
-            self.replica_syncs,
-            self.promotions,
-            self.failovers,
-            self.batched_ops,
-            self.flushes,
-            self.shard_placements,
-            self.shard_rebalances,
-            self.replica_reads
-        )
-    }
+    pub reg: NodeRegistry,
+    pub repl: NodeReplicas,
+    pub replies: ReplyCache,
+    pub props: PropCache,
+    pub calls: CallCounts,
 }
 
 /// A per-node registry summary returned by [`Cluster::describe`].
@@ -539,55 +160,14 @@ impl fmt::Display for MigrationEvent {
     }
 }
 
-/// Shard placement state for classes with a `shard by <getter> modulo N`
-/// policy rule. Both maps iterate in sorted order wherever they feed a
-/// decision, so placement and rebalancing are deterministic per seed.
-#[derive(Debug, Default)]
-pub(crate) struct ShardState {
-    /// `(class name, shard index)` → owning node. Seeded lazily as
-    /// `shard % node_count` the first time an instance hashes into the
-    /// shard; rewritten by [`Cluster::rebalance_shards`].
-    pub owners: BTreeMap<(String, u32), u32>,
-    /// `(class name, shard index)` → the member instances currently routed
-    /// there, at their live `(node, export id)` locations.
-    pub members: BTreeMap<(String, u32), Vec<(u32, u64)>>,
-}
-
-/// Stable 64-bit hash of a shard key value (FNV-1a over the value's
-/// canonical bytes). Int/Long keys hash their two's-complement bits, so a
-/// key getter returning either width places identically.
-fn shard_hash(key: &Value) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    match key {
-        Value::Int(i) => eat(&(*i as i64).to_le_bytes()),
-        Value::Long(l) => eat(&l.to_le_bytes()),
-        Value::Bool(b) => eat(&[*b as u8]),
-        Value::Str(s) => eat(s.as_bytes()),
-        _ => eat(&[0]),
-    }
-    h
-}
-
-/// Maximum nested (re-entrant) RPC depth across the whole cluster — a
-/// distributed call chain deeper than this is almost certainly unbounded
-/// mutual recursion, and each level consumes host stack.
-const MAX_RPC_DEPTH: u32 = 64;
-
 pub(crate) struct Shared {
     pub universe: Arc<ClassUniverse>,
     pub plan: TransformPlan,
     pub net: Network,
     pub vms: Vec<Vm>,
-    pub protocols: HashMap<String, Box<dyn Protocol>>,
     pub policy: Box<dyn DistributionPolicy>,
+    pub gen_info: HashMap<ClassId, GenInfo>,
+    /// One [`NodeState`] per node; see [`Shared::node`].
     pub nodes: RefCell<Vec<NodeState>>,
     pub trace: RefCell<Trace>,
     /// The observability plane: metrics registry (the single write path
@@ -595,12 +175,6 @@ pub(crate) struct Shared {
     /// and the optional invariant monitors. Never borrowed across a
     /// nested exchange.
     pub obs: RefCell<Obs>,
-    pub gen_info: HashMap<ClassId, GenInfo>,
-    pub rpc_depth: Cell<u32>,
-    pub retry: Cell<RetryPolicy>,
-    /// Cluster-wide message id counter: every request/reply exchange gets a
-    /// fresh id, reused verbatim by its retransmissions (the dedup key).
-    pub next_msg_id: Cell<u64>,
     /// Causal span log: every RPC exchange, transmission attempt, server
     /// dispatch, migration and boundary pull, charged to the simulated
     /// clock. Never borrowed across a nested exchange (RPCs re-enter).
@@ -610,55 +184,22 @@ pub(crate) struct Shared {
     /// successor links every migration, pull and promotion records, and
     /// the canonical statics singletons. Never borrowed across a call out.
     pub dir: RefCell<Directory>,
-    /// Shard placement state for classes with a `shard by` policy rule: the
-    /// deterministic shard→node map and the live members routed to each
-    /// shard.
-    pub shards: RefCell<ShardState>,
-    /// Whether the policy shards any transformed class — computed once at
-    /// deployment, like [`Shared::any_replication`], so unsharded
-    /// workloads pay one boolean test.
-    pub any_sharding: bool,
-    /// Span id of the most recent exchange that ended in a network failure.
-    /// A failover span chains to it via `retry_of`, linking the re-homed
-    /// call to the exchange against the crashed owner it retries.
-    pub last_exchange_span: Cell<u64>,
-    /// Per-`(caller node, owner node)` outcall queues of deferred
-    /// operations (batched remote invocation). Drained by
-    /// [`flush_outqueues`] at every synchronization point; permanently
-    /// empty unless the policy batches some class.
-    pub outqueues: RefCell<HashMap<(u32, u32), PendingBatch>>,
-    /// Re-entrancy guard for [`flush_outqueues`]: the flush itself performs
-    /// top-level exchanges, which are synchronization points of their own.
-    pub in_flush: Cell<bool>,
-    /// Whether the policy replicates any transformed class — computed once
-    /// at deployment so [`sync_dirty_replicas`] is a single boolean test
-    /// for the (common) workloads with no replication.
-    pub any_replication: bool,
-    /// Re-entrancy guard for [`sync_dirty_replicas`]: the sweep's shipments
-    /// are exchanges, and every exchange is a synchronization point.
-    pub in_replica_sweep: Cell<bool>,
-    /// The dirty-replica set: `(owner node, export id)` locations whose
-    /// state may have moved past what [`NodeState::synced_versions`] last
-    /// shipped. Every version bump, served mutation, promotion and logged
-    /// heap write to a replicated export inserts here;
-    /// [`sync_dirty_replicas`] drains *only* these entries — in sorted
-    /// order, so the shipment sequence is byte-identical to the full-table
-    /// sweep it replaces — instead of enumerating every export of every
-    /// node. A `BTreeSet` keeps the
-    /// drain deterministic without a sort per sweep.
-    pub dirty: RefCell<BTreeSet<(u32, u64)>>,
-    /// Reusable encode buffers, keyed by directed link. Checked out for
-    /// the lifetime of one frame (request frames live across every
-    /// retransmission of their exchange) and returned cleared. Never
-    /// borrowed across a serve — RPCs re-enter.
-    pub wire_bufs: RefCell<BufPool>,
-    /// Per-directed-link signature interning tables, keyed `(from node,
-    /// to node)`. The simulation runs both ends in one process, so a
-    /// single table per link serves as the encoder's and the decoder's
-    /// state: in-order frame processing plus idempotent interning keeps
-    /// the two views identical without a handshake. Never borrowed across
-    /// a serve.
-    pub sig_tables: RefCell<HashMap<(u32, u32), SigTable>>,
+    pub repl: Replication,
+    pub batch: Batching,
+    pub rpc: RpcState,
+    pub placement: Placement,
+}
+
+impl Shared {
+    /// Borrow node `n`'s state. Never held across a call out: RPCs re-enter.
+    pub(crate) fn node(&self, n: u32) -> Ref<'_, NodeState> {
+        Ref::map(self.nodes.borrow(), |nodes| &nodes[n as usize])
+    }
+
+    /// Borrow node `n`'s state mutably, under the same rule as [`Shared::node`].
+    pub(crate) fn node_mut(&self, n: u32) -> RefMut<'_, NodeState> {
+        RefMut::map(self.nodes.borrow_mut(), |nodes| &mut nodes[n as usize])
+    }
 }
 
 /// A simulated cluster running one transformed application.
@@ -695,97 +236,49 @@ impl Cluster {
         // frozen — deployment wires the hooks below.
         introspect::prepare(&mut universe, &plan);
         let universe = Arc::new(universe);
-        let net = Network::new(nodes, seed);
         let vms: Vec<Vm> = (0..nodes).map(|_| Vm::new(universe.clone())).collect();
-        let mut protocols: HashMap<String, Box<dyn Protocol>> = HashMap::new();
-        for p in &plan.protocols {
-            if let Some(kind) = ProtocolKind::from_name(p) {
-                protocols.insert(p.clone(), kind.codec());
-            }
-        }
         let mut gen_info = HashMap::new();
         for family in plan.families.values() {
-            gen_info.insert(
-                family.obj_local,
-                GenInfo {
-                    base: family.base,
-                    side: Side::Obj,
-                    proto: None,
-                },
-            );
+            let mut add = |class, side, proto: Option<&String>| {
+                let proto = proto.cloned();
+                let base = family.base;
+                gen_info.insert(class, GenInfo { base, side, proto });
+            };
+            add(family.obj_local, Side::Obj, None);
             for (p, c) in &family.obj_proxies {
-                gen_info.insert(
-                    *c,
-                    GenInfo {
-                        base: family.base,
-                        side: Side::Obj,
-                        proto: Some(p.clone()),
-                    },
-                );
+                add(*c, Side::Obj, Some(p));
             }
             if let Some(cl) = family.cls_local {
-                gen_info.insert(
-                    cl,
-                    GenInfo {
-                        base: family.base,
-                        side: Side::Cls,
-                        proto: None,
-                    },
-                );
+                add(cl, Side::Cls, None);
             }
             for (p, c) in &family.cls_proxies {
-                gen_info.insert(
-                    *c,
-                    GenInfo {
-                        base: family.base,
-                        side: Side::Cls,
-                        proto: Some(p.clone()),
-                    },
-                );
+                add(*c, Side::Cls, Some(p));
             }
         }
-        let any_replication = plan
-            .families
-            .values()
-            .any(|f| policy.replicas(&universe.class(f.base).name) > 0);
-        if any_replication {
-            // Replicated state can change through plain local calls the
-            // runtime never sees; the heap write logs tell the sweep which
-            // objects those calls wrote.
-            for vm in &vms {
-                vm.with_heap(Heap::log_writes);
-            }
-        }
-        let any_sharding = plan
-            .families
-            .values()
-            .any(|f| policy.shard_spec(&universe.class(f.base).name).is_some());
+        // Which mechanisms the policy switches on for any transformed class.
+        let any = |on: &dyn Fn(&str) -> bool| {
+            plan.families
+                .values()
+                .any(|f| on(&universe.class(f.base).name))
+        };
+        let repl = Replication::new(any(&|c| policy.replicas(c) > 0), &vms);
+        let placement = Placement::new(any(&|c| policy.shard_spec(c).is_some()));
         let shared = Rc::new(Shared {
-            universe,
-            plan,
-            net,
-            vms,
-            protocols,
-            policy,
+            net: Network::new(nodes, seed),
             nodes: RefCell::new((0..nodes).map(|_| NodeState::default()).collect()),
             trace: RefCell::new(Trace::new()),
             obs: RefCell::new(Obs::new(nodes)),
             gen_info,
-            rpc_depth: Cell::new(0),
-            retry: Cell::new(RetryPolicy::default()),
-            next_msg_id: Cell::new(1),
             spans: RefCell::new(SpanLog::new()),
             dir: RefCell::new(Directory::default()),
-            shards: RefCell::new(ShardState::default()),
-            any_sharding,
-            last_exchange_span: Cell::new(0),
-            outqueues: RefCell::new(HashMap::new()),
-            in_flush: Cell::new(false),
-            any_replication,
-            in_replica_sweep: Cell::new(false),
-            dirty: RefCell::new(BTreeSet::new()),
-            wire_bufs: RefCell::new(BufPool::new()),
-            sig_tables: RefCell::new(HashMap::new()),
+            repl,
+            batch: Batching::default(),
+            rpc: RpcState::new(&plan.protocols),
+            placement,
+            universe,
+            plan,
+            vms,
+            policy,
         });
         let cluster = Cluster { shared };
         cluster.install_hooks();
@@ -826,7 +319,7 @@ impl Cluster {
     /// [`RuntimeStats::merge`]. Each counter is charged to exactly one
     /// node, so per-node sums always equal this view.
     pub fn stats(&self) -> RuntimeStats {
-        merged_stats(&self.shared)
+        obs::merged_stats(&self.shared)
     }
 
     /// One node's runtime statistics breakdown. Counters are charged to
@@ -835,21 +328,21 @@ impl Cluster {
     /// the caller, server-side counters (`rpc_*`, faults, dedup hits,
     /// retransmits received, promotions) to the server.
     pub fn node_stats(&self, node: NodeId) -> RuntimeStats {
-        node_stats_of(&self.shared, node.0)
+        obs::node_stats_of(&self.shared, node.0)
     }
 
     /// The metrics registry rendered in Prometheus text exposition format,
     /// with the wire-layer per-node counters appended. Deterministic: same
     /// seed, same bytes.
     pub fn prometheus_text(&self) -> String {
-        prometheus_text_of(&self.shared)
+        obs::prometheus_text_of(&self.shared)
     }
 
     /// The metrics registry, wire-layer counters and time-series rings as
     /// JSON lines (one object per line). Deterministic: same seed, same
     /// bytes.
     pub fn metrics_json(&self) -> String {
-        metrics_json_of(&self.shared)
+        obs::metrics_json_of(&self.shared)
     }
 
     /// Switch on the four standing invariant monitors (stale-read,
@@ -919,59 +412,6 @@ impl Cluster {
         violations
     }
 
-    /// Structural quiescent-point sweep over the affinity counters: every
-    /// counter on a live node must reference an export that is still
-    /// locally implemented there. A counter pointing at a forwarding
-    /// proxy (the object moved) or a wiped registry (the node died) would
-    /// feed the adaptation loops locations they must never act on —
-    /// [`purge_call_counts`] maintains this invariant and the soak gate
-    /// checks it at every phase boundary.
-    fn stale_affinity_violations(&self) -> Vec<Violation> {
-        let shared = &self.shared;
-        let mut out = Vec::new();
-        let nodes = shared.nodes.borrow();
-        for (n, state) in nodes.iter().enumerate() {
-            if shared.net.fault_plan(|f| f.is_crashed(NodeId(n as u32))) {
-                continue;
-            }
-            let mut oids: Vec<u64> = state.call_counts.keys().copied().collect();
-            oids.sort_unstable();
-            for oid in oids {
-                let fail = |message: String| Violation {
-                    monitor: "stale-affinity",
-                    message,
-                    span_id: 0,
-                    trace_id: 0,
-                };
-                match state.exports.get(&oid) {
-                    // A demoted entry (the object moved away) lives in the
-                    // forwards side-table now; report it exactly as the
-                    // forwarding proxy it is, not as a vanished export.
-                    None if state.forwards.contains_key(&oid) => out.push(fail(format!(
-                        "node {n}: affinity counter references \
-                         moved-away export {oid}"
-                    ))),
-                    None => out.push(fail(format!(
-                        "node {n}: affinity counter for vanished export {oid}"
-                    ))),
-                    Some(&h) => {
-                        let local = shared.vms[n]
-                            .class_of(h)
-                            .and_then(|c| shared.gen_info.get(&c))
-                            .is_some_and(|info| info.proto.is_none());
-                        if !local {
-                            out.push(fail(format!(
-                                "node {n}: affinity counter references \
-                                 moved-away export {oid}"
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Test-only fault injection: silently skip the next tombstone the
     /// object directory records, simulating a runtime that forgot to
     /// mark a moved-away export uncacheable. Exists so the stale-read
@@ -980,21 +420,6 @@ impl Cluster {
     #[doc(hidden)]
     pub fn debug_skip_next_tombstone(&self) {
         self.shared.dir.borrow_mut().skip_next_tombstone();
-    }
-
-    /// Per-object incoming-call affinity recorded on `node`: `(export id,
-    /// total calls)` pairs, sorted by export id. Entries are purged
-    /// cluster-wide when their object migrates or is pulled, so the
-    /// adaptive loop never acts on traffic observed at a previous home.
-    pub fn affinity_snapshot(&self, node: NodeId) -> Vec<(u64, u64)> {
-        let nodes = self.shared.nodes.borrow();
-        let mut v: Vec<(u64, u64)> = nodes[node.0 as usize]
-            .call_counts
-            .iter()
-            .map(|(&oid, counts)| (oid, counts.values().sum()))
-            .collect();
-        v.sort_unstable();
-        v
     }
 
     /// Snapshot of the causal span log. Deterministic per seed: same
@@ -1019,79 +444,44 @@ impl Cluster {
         self.shared.spans.borrow().report(top)
     }
 
-    /// The fault-tolerance policy applied to every RPC exchange.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.shared.retry.get()
-    }
-
-    /// Replace the fault-tolerance policy (applies to subsequent RPCs).
-    pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        self.shared.retry.set(policy);
-    }
-
-    /// Number of objects node `n` currently exports.
-    pub fn export_count(&self, n: NodeId) -> usize {
-        self.shared.nodes.borrow()[n.0 as usize].exports.len()
-    }
-
-    /// Per-node registry summary (for diagnostics and examples).
-    pub fn describe(&self) -> Vec<NodeSummary> {
-        let nodes = self.shared.nodes.borrow();
-        nodes
-            .iter()
-            .enumerate()
-            .map(|(i, state)| {
-                let singletons = state
-                    .singletons
-                    .keys()
-                    .map(|&base| self.shared.universe.class(base).name.clone())
-                    .collect::<Vec<_>>();
-                NodeSummary {
-                    node: NodeId(i as u32),
-                    exports: state.exports.len(),
-                    imports: state.imports.len(),
-                    singletons,
-                    live_objects: self.shared.vms[i].stats().heap.live as usize,
-                    cached_replies: state.reply_cache.len(),
-                    crashed: self
-                        .shared
-                        .net
-                        .fault_plan(|f| f.is_crashed(NodeId(i as u32))),
-                }
-            })
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Hook installation
     // ------------------------------------------------------------------
 
+    /// Register `f` as the native implementation of `class.sig` on `vm`,
+    /// run against this cluster's state for as long as the cluster lives.
+    fn hook(
+        &self,
+        vm: &Vm,
+        class: ClassId,
+        sig: SigId,
+        f: impl Fn(&Shared, &[Value]) -> Result<Value, VmError> + 'static,
+    ) {
+        let weak = Rc::downgrade(&self.shared);
+        vm.register_native(class, sig, move |_vm, args| {
+            let shared = upgrade(&weak)?;
+            f(&shared, args)
+        });
+    }
+
     fn install_hooks(&self) {
         let families: Vec<ClassId> = self.shared.plan.families.keys().copied().collect();
-        for node_index in 0..self.shared.vms.len() {
+        for (node_index, vm) in self.shared.vms.iter().enumerate() {
             let node = NodeId(node_index as u32);
-            let vm = &self.shared.vms[node_index];
             for &base in &families {
                 let family = self.shared.plan.families[&base].clone();
-                // make()
-                let weak = Rc::downgrade(&self.shared);
-                vm.register_native(family.obj_factory, family.make_sig, move |_vm, _args| {
-                    let shared = upgrade(&weak)?;
-                    make_value(&shared, node, base)
+                self.hook(vm, family.obj_factory, family.make_sig, move |shared, _| {
+                    make_value(shared, node, base)
                 });
-                // discover()
                 if let (Some(cls_factory), Some(discover_sig)) =
                     (family.cls_factory, family.discover_sig)
                 {
-                    let weak = Rc::downgrade(&self.shared);
-                    vm.register_native(cls_factory, discover_sig, move |_vm, _args| {
-                        let shared = upgrade(&weak)?;
-                        discover_value(&shared, node, base)
+                    self.hook(vm, cls_factory, discover_sig, move |shared, _| {
+                        discover_value(shared, node, base)
                     });
                 }
-                // Proxy methods.
                 for (_proto, proxy) in family.obj_proxies.iter().chain(family.cls_proxies.iter()) {
-                    self.install_proxy_hooks(node, *proxy);
+                    self.install_proxy_hooks(vm, node, *proxy);
                 }
             }
         }
@@ -1125,28 +515,20 @@ impl Cluster {
                 .map(|m| m.sig)
         };
         let (refresh_sig, node_stats_sig) = (sig_of("refresh"), sig_of("node_stats"));
-        for node_index in 0..self.shared.vms.len() {
+        for (node_index, vm) in self.shared.vms.iter().enumerate() {
             let node = NodeId(node_index as u32);
-            let vm = &self.shared.vms[node_index];
             if let Some(sig) = refresh_sig {
-                let weak = Rc::downgrade(&self.shared);
-                vm.register_native(local, sig, move |_vm, args| {
-                    let shared = upgrade(&weak)?;
-                    introspect::refresh_native(&shared, node, args)
+                self.hook(vm, local, sig, move |shared, args| {
+                    introspect::refresh_native(shared, node, args)
                 });
             }
             if let Some(sig) = node_stats_sig {
-                let weak = Rc::downgrade(&self.shared);
-                vm.register_native(local, sig, move |_vm, args| {
-                    let shared = upgrade(&weak)?;
-                    introspect::node_stats_native(&shared, args)
-                });
+                self.hook(vm, local, sig, introspect::node_stats_native);
             }
         }
     }
 
-    fn install_proxy_hooks(&self, node: NodeId, proxy: ClassId) {
-        let vm = &self.shared.vms[node.0 as usize];
+    fn install_proxy_hooks(&self, vm: &Vm, node: NodeId, proxy: ClassId) {
         let methods: Vec<(String, SigId)> = self
             .shared
             .universe
@@ -1157,10 +539,8 @@ impl Cluster {
             .map(|m| (m.name.clone(), m.sig))
             .collect();
         for (name, sig) in methods {
-            let weak = Rc::downgrade(&self.shared);
-            vm.register_native(proxy, sig, move |_vm, args| {
-                let shared = upgrade(&weak)?;
-                proxy_call(&shared, node, &name, sig, args)
+            self.hook(vm, proxy, sig, move |shared, args| {
+                proxy_call(shared, node, &name, sig, args)
             });
         }
     }
@@ -1168,6 +548,11 @@ impl Cluster {
     // ------------------------------------------------------------------
     // Entry points
     // ------------------------------------------------------------------
+
+    fn class_id(&self, class: &str) -> Result<ClassId, RuntimeError> {
+        let id = self.shared.universe.by_name(class);
+        id.ok_or_else(|| RuntimeError::Bad(format!("unknown class {class}")))
+    }
 
     /// Call a static method of the original program on `node`. For a
     /// substitutable class this goes through `discover()` and the singleton
@@ -1184,10 +569,7 @@ impl Cluster {
         args: Vec<Value>,
     ) -> Result<Value, RuntimeError> {
         let shared = &self.shared;
-        let id = shared
-            .universe
-            .by_name(class)
-            .ok_or_else(|| RuntimeError::Bad(format!("unknown class {class}")))?;
+        let id = self.class_id(class)?;
         let vm = &shared.vms[node.0 as usize];
         if shared.plan.is_substitutable(id) {
             let singleton = discover_value(shared, node, id)?;
@@ -1211,10 +593,7 @@ impl Cluster {
         args: Vec<Value>,
     ) -> Result<Value, RuntimeError> {
         let shared = &self.shared;
-        let id = shared
-            .universe
-            .by_name(class)
-            .ok_or_else(|| RuntimeError::Bad(format!("unknown class {class}")))?;
+        let id = self.class_id(class)?;
         let vm = &shared.vms[node.0 as usize];
         match shared.plan.family(id) {
             Some(family) => {
@@ -1230,7 +609,7 @@ impl Cluster {
                 // path ships a default-constructed instance and applies the
                 // constructor through the reference, so the shard key is
                 // only readable once init has landed.
-                if shared.any_sharding {
+                if shared.placement.any() {
                     self.place_sharded(node, class, &that)?;
                 }
                 Ok(that)
@@ -1256,46 +635,29 @@ impl Cluster {
     /// Bind the `Observer` built-in on every node to a **cluster-wide**
     /// trace, so distributed runs produce one comparable event stream.
     pub fn bind_observer(&self, ids: &rafda_vm::vm::ObserverIds) {
+        type Emitter = fn(&[Value]) -> Result<TraceEvent, VmError>;
+        let emitters: [(SigId, Emitter); 3] = [
+            (ids.emit, |args| match args {
+                [Value::Long(v)] => Ok(TraceEvent::Emit(*v)),
+                [Value::Int(v)] => Ok(TraceEvent::Emit(i64::from(*v))),
+                _ => Err(VmError::type_error("Observer.emit expects long")),
+            }),
+            (ids.emit_str, |args| match args {
+                [Value::Str(s)] => Ok(TraceEvent::EmitStr(s.to_string())),
+                _ => Err(VmError::type_error("Observer.emit_str expects String")),
+            }),
+            (ids.emit_double, |args| match args {
+                [Value::Double(d)] => Ok(TraceEvent::EmitDouble(d.to_bits())),
+                _ => Err(VmError::type_error("Observer.emit_double expects double")),
+            }),
+        ];
         for vm in &self.shared.vms {
-            let weak = Rc::downgrade(&self.shared);
-            vm.register_native(ids.class, ids.emit, move |_vm, args| {
-                let shared = upgrade(&weak)?;
-                let v = match args {
-                    [Value::Long(v)] => *v,
-                    [Value::Int(v)] => i64::from(*v),
-                    _ => return Err(VmError::type_error("Observer.emit expects long")),
-                };
-                shared.trace.borrow_mut().push(TraceEvent::Emit(v));
-                Ok(Value::Null)
-            });
-            let weak = Rc::downgrade(&self.shared);
-            vm.register_native(ids.class, ids.emit_str, move |_vm, args| {
-                let shared = upgrade(&weak)?;
-                match args {
-                    [Value::Str(s)] => {
-                        shared
-                            .trace
-                            .borrow_mut()
-                            .push(TraceEvent::EmitStr(s.to_string()));
-                        Ok(Value::Null)
-                    }
-                    _ => Err(VmError::type_error("Observer.emit_str expects String")),
-                }
-            });
-            let weak = Rc::downgrade(&self.shared);
-            vm.register_native(ids.class, ids.emit_double, move |_vm, args| {
-                let shared = upgrade(&weak)?;
-                match args {
-                    [Value::Double(d)] => {
-                        shared
-                            .trace
-                            .borrow_mut()
-                            .push(TraceEvent::EmitDouble(d.to_bits()));
-                        Ok(Value::Null)
-                    }
-                    _ => Err(VmError::type_error("Observer.emit_double expects double")),
-                }
-            });
+            for (sig, emitter) in emitters {
+                self.hook(vm, ids.class, sig, move |shared, args| {
+                    shared.trace.borrow_mut().push(emitter(args)?);
+                    Ok(Value::Null)
+                });
+            }
         }
     }
 
@@ -1308,39 +670,26 @@ impl Cluster {
         // deferred on an outcall queue are applied before the trace is
         // compared, exactly as a single-address-space run would have
         // applied them inline.
-        let result =
-            self.call_static(node, class, method, args).and_then(|v| {
-                match flush_outqueues(&self.shared) {
-                    Ok(()) => Ok(v),
-                    Err(e) => Err(RuntimeError::from(e)),
-                }
-            });
-        match result {
-            Ok(_) => {}
+        let result = self
+            .call_static(node, class, method, args)
+            .and_then(|v| Ok(flush_outqueues(&self.shared).map(|()| v)?));
+        let event = match result {
+            Ok(_) => None,
             Err(RuntimeError::Vm(VmError::Exception(h))) => {
                 let name = self.shared.vms[node.0 as usize]
                     .class_of(h)
                     .map(|c| self.shared.universe.class(c).name.clone())
                     .unwrap_or_else(|| "<stale>".to_owned());
-                self.shared
-                    .trace
-                    .borrow_mut()
-                    .push(TraceEvent::UncaughtException(name));
+                Some(TraceEvent::UncaughtException(name))
             }
-            Err(e) if e.is_network() => {
-                self.shared
-                    .trace
-                    .borrow_mut()
-                    .push(TraceEvent::NetworkFailure(e.to_string()));
-            }
-            Err(other) => {
-                self.shared
-                    .trace
-                    .borrow_mut()
-                    .push(TraceEvent::EmitStr(format!("<error: {other}>")));
-            }
+            Err(e) if e.is_network() => Some(TraceEvent::NetworkFailure(e.to_string())),
+            Err(other) => Some(TraceEvent::EmitStr(format!("<error: {other}>"))),
+        };
+        let mut trace = std::mem::take(&mut *self.shared.trace.borrow_mut());
+        if let Some(event) = event {
+            trace.push(event);
         }
-        std::mem::take(&mut self.shared.trace.borrow_mut())
+        trace
     }
 
     /// Where the object behind a reference held on `node` actually lives:
@@ -1348,13 +697,12 @@ impl Cluster {
     pub fn location_of(&self, node: NodeId, value: &Value) -> Option<NodeId> {
         let h = value.as_ref_handle()?;
         let vm = &self.shared.vms[node.0 as usize];
-        let class = vm.class_of(h)?;
-        match self.shared.gen_info.get(&class) {
-            Some(info) if info.proto.is_some() => {
-                let (target, _) = read_proxy_state(vm, h)?;
-                Some(NodeId(target))
-            }
-            _ => Some(node),
+        vm.class_of(h)?;
+        if registry::is_proxy(&self.shared, node.0, h) {
+            let (target, _) = read_proxy_state(vm, h)?;
+            Some(NodeId(target))
+        } else {
+            Some(node)
         }
     }
 
@@ -1369,28 +717,60 @@ impl Cluster {
     pub fn home_of(&self, node: NodeId, value: &Value) -> Option<(NodeId, Handle)> {
         let h = value.as_ref_handle()?;
         let vm = &self.shared.vms[node.0 as usize];
-        let class = vm.class_of(h)?;
-        match self.shared.gen_info.get(&class) {
-            Some(info) if info.proto.is_some() => {
-                let (owner, oid) = read_proxy_state(vm, h)?;
-                let nodes = self.shared.nodes.borrow();
-                let handle = *nodes[owner as usize].exports.get(&oid)?;
-                // The export may itself be a forwarding proxy (the object
-                // moved on); only a locally implemented object counts.
-                let owner_vm = &self.shared.vms[owner as usize];
-                let owner_class = owner_vm.class_of(handle)?;
-                match self.shared.gen_info.get(&owner_class) {
-                    Some(info) if info.proto.is_none() => Some((NodeId(owner), handle)),
-                    _ => None,
-                }
-            }
-            _ => Some((node, h)),
+        vm.class_of(h)?;
+        if !registry::is_proxy(&self.shared, node.0, h) {
+            return Some((node, h));
+        }
+        let (owner, oid) = read_proxy_state(vm, h)?;
+        // The export may itself be a forwarding proxy (the object moved
+        // on); only a locally implemented object counts.
+        let nodes = self.shared.nodes.borrow();
+        match nodes[owner as usize].reg.presence(&self.shared, owner, oid) {
+            Presence::Live(handle) => Some((NodeId(owner), handle)),
+            _ => None,
         }
     }
 
     // ------------------------------------------------------------------
     // Boundary changes
     // ------------------------------------------------------------------
+
+    /// Run the boundary change `run` inside a `name` span on `node`, opened
+    /// with `attrs` and closed with the moved class once the outcome is
+    /// known. A move that did not know its source up front (a pull) also
+    /// records where the object came from.
+    fn traced_move(
+        &self,
+        name: &'static str,
+        node: NodeId,
+        attrs: &[(&'static str, u32)],
+        run: impl FnOnce() -> Result<MigrationEvent, RuntimeError>,
+    ) -> Result<MigrationEvent, RuntimeError> {
+        let shared = &self.shared;
+        let span = {
+            let mut spans = shared.spans.borrow_mut();
+            let h = spans.start_span(name, node.0, shared.net.now().as_ns());
+            for &(key, value) in attrs {
+                spans.set_attr(h, key, value);
+            }
+            h
+        };
+        let result = run();
+        let mut spans = shared.spans.borrow_mut();
+        let outcome = match &result {
+            Ok(event) => {
+                spans.set_attr(span, "class", event.class.clone());
+                if !attrs.iter().any(|&(key, _)| key == "from") {
+                    spans.set_attr(span, "from", event.from.0);
+                }
+                SpanOutcome::Ok
+            }
+            Err(e) if e.is_network() => SpanOutcome::NetFailure,
+            Err(_) => SpanOutcome::Fault,
+        };
+        spans.end_span(span, shared.net.now().as_ns(), outcome);
+        result
+    }
 
     /// Move a live object to another node. The local instance is rewritten
     /// **in place** into a proxy, so every existing reference on `from`
@@ -1405,26 +785,9 @@ impl Cluster {
         object: Handle,
         to: NodeId,
     ) -> Result<MigrationEvent, RuntimeError> {
-        let shared = &self.shared;
-        let span = {
-            let mut spans = shared.spans.borrow_mut();
-            let h = spans.start_span("migrate", from.0, shared.net.now().as_ns());
-            spans.set_attr(h, "from", from.0);
-            spans.set_attr(h, "to", to.0);
-            h
-        };
-        let result = self.migrate_inner(from, object, to);
-        let mut spans = shared.spans.borrow_mut();
-        let outcome = match &result {
-            Ok(event) => {
-                spans.set_attr(span, "class", event.class.clone());
-                SpanOutcome::Ok
-            }
-            Err(e) if e.is_network() => SpanOutcome::NetFailure,
-            Err(_) => SpanOutcome::Fault,
-        };
-        spans.end_span(span, shared.net.now().as_ns(), outcome);
-        result
+        self.traced_move("migrate", from, &[("from", from.0), ("to", to.0)], || {
+            self.migrate_inner(from, object, to)
+        })
     }
 
     fn migrate_inner(
@@ -1449,9 +812,8 @@ impl Cluster {
         let info = shared
             .gen_info
             .get(&class)
-            .ok_or_else(|| RuntimeError::Bad("only transformed objects can migrate".into()))?
-            .clone();
-        if info.proto.is_some() {
+            .ok_or_else(|| RuntimeError::Bad("only transformed objects can migrate".into()))?;
+        if info.is_proxy() {
             return Err(RuntimeError::Bad(
                 "object is already remote (a proxy); migrate it from its owner".into(),
             ));
@@ -1485,22 +847,14 @@ impl Cluster {
             Reply::Fault(m) => return Err(RuntimeError::Bad(m)),
             other => return Err(RuntimeError::Bad(format!("unexpected reply {other:?}"))),
         };
-        let proxy_class = proxy_class_for(shared, info.base, info.side, &proto)
+        let proxy_class = registry::proxy_class_for(shared, info.base, info.side, &proto)
             .ok_or_else(|| RuntimeError::Bad(format!("no {proto} proxy for {base_name}")))?;
         vm.replace_object(
             object,
             proxy_class,
-            vec![
-                Value::Int(target.node.0 as i32),
-                Value::Long(target.oid as i64),
-            ],
+            proxy_fields((target.node.0, target.oid)),
         );
-        {
-            let mut nodes = shared.nodes.borrow_mut();
-            nodes[from.0 as usize]
-                .imports
-                .insert((target.node.0, target.oid), object);
-        }
+        cache_import(shared, from, target.node.0, target.oid, object);
         // The old export now forwards: no read through it may ever be
         // cached again, and affinity data about the old home is obsolete
         // cluster-wide. The move is also recorded cluster-wide — the
@@ -1531,26 +885,9 @@ impl Cluster {
     /// # Errors
     /// [`RuntimeError`] if the handle is not a proxy or the transfer fails.
     pub fn pull_local(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, RuntimeError> {
-        let shared = &self.shared;
-        let span = {
-            let mut spans = shared.spans.borrow_mut();
-            let h = spans.start_span("pull", node.0, shared.net.now().as_ns());
-            spans.set_attr(h, "to", node.0);
-            h
-        };
-        let result = self.pull_inner(node, proxy);
-        let mut spans = shared.spans.borrow_mut();
-        let outcome = match &result {
-            Ok(event) => {
-                spans.set_attr(span, "class", event.class.clone());
-                spans.set_attr(span, "from", event.from.0);
-                SpanOutcome::Ok
-            }
-            Err(e) if e.is_network() => SpanOutcome::NetFailure,
-            Err(_) => SpanOutcome::Fault,
-        };
-        spans.end_span(span, shared.net.now().as_ns(), outcome);
-        result
+        self.traced_move("pull", node, &[("to", node.0)], || {
+            self.pull_inner(node, proxy)
+        })
     }
 
     fn pull_inner(&self, node: NodeId, proxy: Handle) -> Result<MigrationEvent, RuntimeError> {
@@ -1565,8 +902,7 @@ impl Cluster {
         let info = shared
             .gen_info
             .get(&class)
-            .cloned()
-            .filter(|i| i.proto.is_some())
+            .filter(|i| i.is_proxy())
             .ok_or_else(|| RuntimeError::Bad("pull_local needs a proxy".into()))?;
         let proto = info.proto.clone().expect("filtered");
         let base_name = shared.universe.class(info.base).name.clone();
@@ -1634,365 +970,20 @@ impl Cluster {
         })
     }
 
-    /// One round of the adaptive affinity loop: every exported object whose
-    /// incoming calls are dominated by a single remote node (per `config`)
-    /// is migrated to that node. Returns the boundary changes made.
-    pub fn adapt(&self, config: &AffinityConfig) -> Vec<MigrationEvent> {
-        let shared = &self.shared;
-        // An adaptation tick is a synchronization point: deferred calls are
-        // traffic too, and must land (and be counted) before affinity is
-        // judged. Flush failures surface at the callers' next sync point.
-        let _ = flush_outqueues(shared);
-        // Snapshot candidates without holding the borrow across migrations.
-        let mut candidates: Vec<(NodeId, u64, Handle, NodeId)> = Vec::new();
-        {
-            let nodes = shared.nodes.borrow();
-            for (n, state) in nodes.iter().enumerate() {
-                // HashMap iteration order varies run to run; candidates must
-                // be discovered in a stable order or the migration sequence
-                // (and thus clocks, traces and stats) differs per run.
-                let mut oids: Vec<u64> = state.call_counts.keys().copied().collect();
-                oids.sort_unstable();
-                for oid in oids {
-                    let counts = &state.call_counts[&oid];
-                    let total: u64 = counts.values().sum();
-                    if total < config.min_calls {
-                        continue;
-                    }
-                    // Ties on count go to the highest caller id — any fixed
-                    // rule works, it just must not depend on map order.
-                    let Some((&caller, &count)) =
-                        counts.iter().max_by_key(|&(&caller, &c)| (c, caller))
-                    else {
-                        continue;
-                    };
-                    if caller == n as u32 {
-                        continue;
-                    }
-                    if (count as f64) / (total as f64) < config.min_fraction {
-                        continue;
-                    }
-                    let Some(&h) = state.exports.get(&oid) else {
-                        continue;
-                    };
-                    candidates.push((NodeId(n as u32), oid, h, NodeId(caller)));
-                }
-            }
-        }
-        let mut events = Vec::new();
-        for (owner, _oid, handle, target) in candidates {
-            // Only migrate objects still locally implemented.
-            let vm = &shared.vms[owner.0 as usize];
-            let Some(class) = vm.class_of(handle) else {
-                continue;
-            };
-            match shared.gen_info.get(&class) {
-                Some(info) if info.proto.is_none() => {
-                    // Shard placement is policy-owned: the affinity loop
-                    // must not fight the shard map by dragging a sharded
-                    // instance toward its chattiest caller.
-                    if shared.any_sharding {
-                        let base = &shared.universe.class(info.base).name;
-                        if shared.policy.shard_spec(base).is_some() {
-                            continue;
-                        }
-                    }
-                }
-                _ => continue,
-            }
-            // migrate() purges the stale counts cluster-wide, so no
-            // owner-local cleanup is needed here.
-            if let Ok(event) = self.migrate(owner, handle, target) {
-                events.push(event);
-            }
-        }
-        events
-    }
-
-    // ------------------------------------------------------------------
-    // Policy-driven shard placement (E15)
-    // ------------------------------------------------------------------
-
-    /// Route a freshly constructed instance of a `shard by` class onto its
-    /// shard's node: read the key getter, hash the key, look up (or lazily
-    /// seed, as `shard % node_count`) the shard's owner in the shard map,
-    /// and migrate the instance there when it was created elsewhere. The
-    /// creator's reference keeps working either way — a local instance is
-    /// rewritten in place into a proxy by [`Cluster::migrate`], and an
-    /// existing proxy is re-pointed at the shard home directly.
-    fn place_sharded(&self, node: NodeId, class: &str, that: &Value) -> Result<(), RuntimeError> {
-        let shared = &self.shared;
-        let Some(spec) = shared.policy.shard_spec(class) else {
-            return Ok(());
-        };
-        let Value::Ref(h) = *that else {
-            return Ok(());
-        };
-        let vm = &shared.vms[node.0 as usize];
-        let key = vm.call_virtual_by_name(that.clone(), &spec.key_getter, vec![])?;
-        let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
-        let owner = *shared
-            .shards
-            .borrow_mut()
-            .owners
-            .entry((class.to_string(), shard))
-            .or_insert(shard % shared.vms.len() as u32);
-        let Some(info) = vm
-            .class_of(h)
-            .and_then(|c| shared.gen_info.get(&c))
-            .cloned()
-        else {
-            return Ok(());
-        };
-        let member = if info.proto.is_some() {
-            let (tn, toid) =
-                read_proxy_state(vm, h).ok_or_else(|| RuntimeError::Bad("stale proxy".into()))?;
-            if tn == owner {
-                (tn, toid)
-            } else {
-                let src = lookup_export(shared, NodeId(tn), toid)
-                    .ok_or_else(|| RuntimeError::Bad(format!("unknown object {tn}#{toid}")))?;
-                let event = self.migrate(NodeId(tn), src, NodeId(owner))?;
-                // Re-point the creator's proxy at the shard home directly,
-                // skipping the forwarding hop left at the old location.
-                vm.replace_object(
-                    h,
-                    vm.class_of(h).expect("live proxy"),
-                    vec![
-                        Value::Int(event.target.node.0 as i32),
-                        Value::Long(event.target.oid as i64),
-                    ],
-                );
-                cache_import(shared, node, event.target.node.0, event.target.oid, h);
-                (event.target.node.0, event.target.oid)
-            }
-        } else if node.0 == owner {
-            // Created straight onto its shard's node: export it so the
-            // membership list can reference (and later move) it.
-            (node.0, export(shared, node, h))
-        } else {
-            let event = self.migrate(node, h, NodeId(owner))?;
-            (event.target.node.0, event.target.oid)
-        };
-        record_shard_member(shared, class, shard, member);
-        bump(shared, node.0, Met::ShardPlacements);
-        Ok(())
-    }
-
-    /// One adaptation tick for policy-driven sharding. In order:
-    ///
-    /// 1. adopt exported sharded instances the creation hook never saw
-    ///    (objects that became visible through marshaling),
-    /// 2. prune members that moved away or whose node crashed,
-    /// 3. detect hot-key skew from the same `call_counts` the affinity
-    ///    loop reads and greedily reassign hot shards from the most- to the
-    ///    least-loaded node while that strictly narrows the spread,
-    /// 4. enforce the map: migrate every member not at its shard's owner.
-    ///
-    /// Deterministic by construction: shard maps are `BTreeMap`s iterated
-    /// in key order, load ties break toward the lowest node id (and the
-    /// lowest shard key), and every move ships state through the same
-    /// Install path migration uses — a synchronization point that drains
-    /// the E12 outcall queues first.
-    pub fn rebalance_shards(&self, config: &AffinityConfig) -> Vec<MigrationEvent> {
-        let shared = &self.shared;
-        if !shared.any_sharding {
-            return Vec::new();
-        }
-        let _ = flush_outqueues(shared);
-        self.adopt_sharded_exports();
-        prune_shard_members(shared);
-        // Per-shard load: calls served for its members at their current
-        // homes. Absent counters mean a quiet shard, not an error.
-        let mut loads: BTreeMap<(String, u32), u64> = BTreeMap::new();
-        {
-            let nodes = shared.nodes.borrow();
-            let shards = shared.shards.borrow();
-            for (key, members) in &shards.members {
-                let mut load = 0u64;
-                for &(n, oid) in members {
-                    if let Some(counts) = nodes[n as usize].call_counts.get(&oid) {
-                        load += counts.values().sum::<u64>();
-                    }
-                }
-                loads.insert(key.clone(), load);
-            }
-        }
-        if loads.values().sum::<u64>() >= config.min_calls {
-            let mut node_load = vec![0u64; shared.vms.len()];
-            {
-                let shards = shared.shards.borrow();
-                for (key, &owner) in &shards.owners {
-                    node_load[owner as usize] += loads.get(key).copied().unwrap_or(0);
-                }
-            }
-            // Greedy reassignment with synthetic load deltas (the physical
-            // moves below purge the underlying counters).
-            for _ in 0..loads.len() {
-                let (max_n, max_l) = node_load
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|&(n, &l)| (l, usize::MAX - n))
-                    .map(|(n, &l)| (n as u32, l))
-                    .expect("at least one node");
-                let (min_n, min_l) = node_load
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(n, &l)| (l, n))
-                    .map(|(n, &l)| (n as u32, l))
-                    .expect("at least one node");
-                let gap = max_l - min_l;
-                if max_n == min_n || gap < 2 {
-                    break;
-                }
-                // Hottest shard on the overloaded node that fits in half
-                // the gap (so neither endpoint overshoots); ties go to the
-                // lowest (class, shard) key because the map is sorted.
-                let mut best: Option<((String, u32), u64)> = None;
-                {
-                    let shards = shared.shards.borrow();
-                    for (key, &owner) in &shards.owners {
-                        if owner != max_n {
-                            continue;
-                        }
-                        let l = loads.get(key).copied().unwrap_or(0);
-                        if l == 0 || l > gap / 2 {
-                            continue;
-                        }
-                        if best.as_ref().is_none_or(|(_, bl)| l > *bl) {
-                            best = Some((key.clone(), l));
-                        }
-                    }
-                }
-                let Some((key, l)) = best else { break };
-                shared.shards.borrow_mut().owners.insert(key, min_n);
-                node_load[max_n as usize] -= l;
-                node_load[min_n as usize] += l;
-                bump(shared, max_n, Met::ShardRebalances);
-            }
-        }
-        self.enforce_shard_map()
-    }
-
-    /// Record exported instances of sharded classes that creation-time
-    /// placement never saw, reading their shard key at their current home.
-    /// Purely bookkeeping — physical moves happen in the enforcement pass.
-    fn adopt_sharded_exports(&self) {
-        let shared = &self.shared;
-        let known: std::collections::HashSet<(u32, u64)> = shared
-            .shards
-            .borrow()
-            .members
-            .values()
-            .flatten()
-            .copied()
-            .collect();
-        let mut found: Vec<(String, u32, (u32, u64))> = Vec::new();
-        let nodes = shared.nodes.borrow();
-        for (n, state) in nodes.iter().enumerate() {
-            let n = n as u32;
-            if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
-                continue;
-            }
-            let mut oids: Vec<u64> = state.exports.keys().copied().collect();
-            oids.sort_unstable();
-            for oid in oids {
-                if known.contains(&(n, oid)) {
-                    continue;
-                }
-                let h = state.exports[&oid];
-                let vm = &shared.vms[n as usize];
-                let Some(info) = vm.class_of(h).and_then(|c| shared.gen_info.get(&c)) else {
-                    continue;
-                };
-                if info.proto.is_some() || info.side != Side::Obj {
-                    continue;
-                }
-                let base = shared.universe.class(info.base).name.clone();
-                let Some(spec) = shared.policy.shard_spec(&base) else {
-                    continue;
-                };
-                let Ok(key) = vm.call_virtual_by_name(Value::Ref(h), &spec.key_getter, vec![])
-                else {
-                    continue;
-                };
-                let shard = (shard_hash(&key) % u64::from(spec.modulo)) as u32;
-                found.push((base, shard, (n, oid)));
-            }
-        }
-        drop(nodes);
-        for (class, shard, member) in found {
-            shared
-                .shards
-                .borrow_mut()
-                .owners
-                .entry((class.clone(), shard))
-                .or_insert(shard % shared.vms.len() as u32);
-            record_shard_member(shared, &class, shard, member);
-        }
-    }
-
-    /// Enforcement pass: migrate every shard member that is not at its
-    /// shard's owner. A member that cannot move right now (its node or the
-    /// owner is down) is left in place for the next tick.
-    fn enforce_shard_map(&self) -> Vec<MigrationEvent> {
-        let shared = &self.shared;
-        let plan: Vec<((String, u32), u32)> = shared
-            .shards
-            .borrow()
-            .owners
-            .iter()
-            .map(|(k, &o)| (k.clone(), o))
-            .collect();
-        let mut events = Vec::new();
-        for (key, owner) in plan {
-            if shared.net.fault_plan(|f| f.is_crashed(NodeId(owner))) {
-                continue;
-            }
-            let members = shared
-                .shards
-                .borrow()
-                .members
-                .get(&key)
-                .cloned()
-                .unwrap_or_default();
-            for (i, &(n, oid)) in members.iter().enumerate() {
-                if n == owner || shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
-                    continue;
-                }
-                let Some(h) = lookup_export(shared, NodeId(n), oid) else {
-                    continue;
-                };
-                if let Ok(event) = self.migrate(NodeId(n), h, NodeId(owner)) {
-                    let moved = (event.target.node.0, event.target.oid);
-                    if let Some(ms) = shared.shards.borrow_mut().members.get_mut(&key) {
-                        ms[i] = moved;
-                    }
-                    events.push(event);
-                }
-            }
-        }
-        events
-    }
-
     /// Pin a host-held reference as a GC root on `node`. References
     /// returned by [`Cluster::new_instance`] or [`Cluster::call_method`]
     /// are invisible to the collector unless pinned (or reachable from an
     /// export, import, singleton or static).
     pub fn pin(&self, node: NodeId, value: &Value) {
         if let Some(h) = value.as_ref_handle() {
-            self.shared.nodes.borrow_mut()[node.0 as usize]
-                .pins
-                .insert(h);
+            self.shared.node_mut(node.0).reg.pin(h);
         }
     }
 
     /// Remove a pin added by [`Cluster::pin`].
     pub fn unpin(&self, node: NodeId, value: &Value) {
         if let Some(h) = value.as_ref_handle() {
-            self.shared.nodes.borrow_mut()[node.0 as usize]
-                .pins
-                .remove(&h);
+            self.shared.node_mut(node.0).reg.unpin(h);
         }
     }
 
@@ -2006,35 +997,17 @@ impl Cluster {
     pub fn gc(&self) -> Vec<usize> {
         let mut freed = Vec::with_capacity(self.shared.vms.len());
         for (i, vm) in self.shared.vms.iter().enumerate() {
-            let roots: Vec<Handle> = {
-                let nodes = self.shared.nodes.borrow();
-                let state = &nodes[i];
-                state
-                    .exports
-                    .values()
-                    .chain(state.forwards.values())
-                    .chain(state.imports.values())
-                    .chain(state.pins.iter())
-                    .copied()
-                    .chain(state.singletons.values().map(|s| s.handle()))
-                    .collect()
-            };
+            let roots = self.shared.nodes.borrow()[i].reg.roots();
             freed.push(vm.gc(&roots));
         }
         freed
     }
 
-    /// Clear the per-object call statistics used by [`Cluster::adapt`].
-    pub fn reset_call_stats(&self) {
-        for state in self.shared.nodes.borrow_mut().iter_mut() {
-            state.call_counts.clear();
-        }
-    }
-
     /// Crash-stop `node`: every message to or from it fails with
-    /// [`NetFailureKind::NodeCrashed`] until [`Cluster::restart`]. The
-    /// node's memory is untouched while down (nobody can observe it), but a
-    /// restart wipes it — crash-stop nodes lose volatile state.
+    /// [`NetFailureKind::NodeCrashed`](rafda_vm::NetFailureKind::NodeCrashed)
+    /// until [`Cluster::restart`]. The node's memory is untouched while
+    /// down (nobody can observe it), but a restart wipes it — crash-stop
+    /// nodes lose volatile state.
     ///
     /// Calls in flight are unaffected: the runtime is synchronous, so the
     /// crash takes effect between top-level operations, never mid-exchange.
@@ -2061,30 +1034,15 @@ impl Cluster {
         // Synchronization point, as for [`Cluster::crash`].
         let _ = flush_outqueues(&self.shared);
         self.shared.net.fault_plan(|f| f.recover(node));
-        let mut nodes = self.shared.nodes.borrow_mut();
-        // The rejoining node holds no backups any more: every owner must
-        // re-seed it at its next sync, even if the shipped version has not
-        // moved since the last one.
-        for state in nodes.iter_mut() {
-            state.synced_versions.clear();
+        {
+            let mut nodes = self.shared.nodes.borrow_mut();
+            let state = &mut nodes[node.0 as usize];
+            *state = NodeState {
+                reg: state.reg.wiped(),
+                ..NodeState::default()
+            };
         }
-        let state = &mut nodes[node.0 as usize];
-        let next_oid = state.next_oid;
-        *state = NodeState::default();
-        state.next_oid = next_oid;
-        drop(nodes);
-        // The restarted node's pre-crash dirty entries describe state that
-        // no longer exists; shipping from them would resurrect stale
-        // backups. Purge them and the node's unread heap write log, then
-        // re-seed the sweep from every live node's replicated exports —
-        // the cleared `synced_versions` above means each owner owes the
-        // rejoined node a fresh shipment even at an unmoved version, and
-        // the sweep only probes marked locations.
-        self.shared.dirty.borrow_mut().retain(|&(n, _)| n != node.0);
-        self.shared.vms[node.0 as usize].with_heap(Heap::take_writes);
-        for n in 0..self.shared.vms.len() as u32 {
-            mark_node_dirty(&self.shared, n);
-        }
+        replication::reseed_after_restart(&self.shared, node.0);
     }
 
     /// Drain every pending batched outcall queue now — an explicit
@@ -2114,466 +1072,6 @@ fn upgrade(weak: &Weak<Shared>) -> Result<Rc<Shared>, VmError> {
         .ok_or_else(|| VmError::Native("cluster torn down".into()))
 }
 
-// ----------------------------------------------------------------------
-// Registry helpers (short borrows only)
-// ----------------------------------------------------------------------
-
-pub(crate) fn export(shared: &Shared, node: NodeId, h: Handle) -> u64 {
-    let oid = {
-        let mut nodes = shared.nodes.borrow_mut();
-        let state = &mut nodes[node.0 as usize];
-        if let Some(&oid) = state.export_ids.get(&h) {
-            // The object migrated away and came back: its id was demoted to
-            // a forwarding stub, and re-exporting the (in-place-rewritten)
-            // handle promotes the entry back to a live export under the
-            // original id.
-            if state.forwards.remove(&oid).is_some() {
-                state.exports.insert(oid, h);
-            }
-            oid
-        } else {
-            state.next_oid += 1;
-            let oid = state.next_oid;
-            state.exports.insert(oid, h);
-            state.export_ids.insert(h, oid);
-            oid
-        }
-    };
-    classify_export(shared, node, oid, h);
-    oid
-}
-
-/// (Re)classify the export `(node, oid)`: a locally implemented instance
-/// of a replicated class joins [`NodeState::replicated`] and is marked
-/// dirty — the old full-table sweep shipped a fresh replicated export's
-/// initial state at the next synchronization point, so the dirty set must
-/// contain it too. Runs on every [`export`] call (not just fresh inserts)
-/// because `Install` and `Promote` rewrite previously-exported proxies
-/// into local objects in place, changing the classification under an
-/// unchanged id.
-fn classify_export(shared: &Shared, node: NodeId, oid: u64, h: Handle) {
-    if !shared.any_replication {
-        return;
-    }
-    let replicated = shared.vms[node.0 as usize]
-        .class_of(h)
-        .and_then(|c| shared.gen_info.get(&c))
-        .filter(|info| info.proto.is_none())
-        .is_some_and(|info| {
-            let base_name = &shared.universe.class(info.base).name;
-            shared.policy.replicas(base_name) > 0
-        });
-    let mut nodes = shared.nodes.borrow_mut();
-    let state = &mut nodes[node.0 as usize];
-    if replicated {
-        state.replicated.insert(oid);
-        drop(nodes);
-        mark_dirty(shared, node.0, oid);
-    } else {
-        state.replicated.remove(&oid);
-    }
-}
-
-pub(crate) fn lookup_export(shared: &Shared, node: NodeId, oid: u64) -> Option<Handle> {
-    let nodes = shared.nodes.borrow();
-    let state = &nodes[node.0 as usize];
-    state
-        .exports
-        .get(&oid)
-        .or_else(|| state.forwards.get(&oid))
-        .copied()
-}
-
-pub(crate) fn cached_import(shared: &Shared, node: NodeId, owner: u32, oid: u64) -> Option<Handle> {
-    shared.nodes.borrow()[node.0 as usize]
-        .imports
-        .get(&(owner, oid))
-        .copied()
-}
-
-pub(crate) fn cache_import(shared: &Shared, node: NodeId, owner: u32, oid: u64, h: Handle) {
-    shared.nodes.borrow_mut()[node.0 as usize]
-        .imports
-        .insert((owner, oid), h);
-}
-
-pub(crate) fn proxy_class_for(
-    shared: &Shared,
-    base: ClassId,
-    side: Side,
-    proto: &str,
-) -> Option<ClassId> {
-    let family = shared.plan.family(base)?;
-    let list = match side {
-        Side::Obj => &family.obj_proxies,
-        Side::Cls => &family.cls_proxies,
-    };
-    list.iter().find(|(p, _)| p == proto).map(|(_, c)| *c)
-}
-
-/// Record a (possible) mutation of the export `(node, oid)`: any cached
-/// property read tagged with an older version becomes stale. Tombstoned
-/// locations stay tombstoned. Returns the version after the bump.
-pub(crate) fn bump_version(shared: &Shared, node: u32, oid: u64) -> u64 {
-    let version = shared.dir.borrow_mut().bump((node, oid));
-    // A version bump is a (possible) mutation: the backups are behind
-    // until the next sync, so the sweep must know to probe this location.
-    mark_dirty(shared, node, oid);
-    version
-}
-
-// ----------------------------------------------------------------------
-// Dirty-replica marking
-// ----------------------------------------------------------------------
-//
-// The sweep ([`sync_dirty_replicas`]) probes exactly the locations marked
-// here since their last shipment. Marking must therefore cover every way
-// replicated state can drift: version bumps (served mutations, installs,
-// promotions), fresh replicated exports (whose initial state the old
-// full-table sweep shipped at the next synchronization point), and bare
-// local mutations — application code running outside the serve path, which
-// each VM's heap write log records and [`drain_write_log`] turns into
-// marks.
-
-/// Mark the export `(node, oid)` dirty: its next sweep probe will compare
-/// live state against the last shipment. A no-op for locations that are
-/// not locally implemented instances of a replicated class — only those
-/// can ever ship.
-pub(crate) fn mark_dirty(shared: &Shared, node: u32, oid: u64) {
-    if !shared.any_replication {
-        return;
-    }
-    if !shared.nodes.borrow()[node as usize]
-        .replicated
-        .contains(&oid)
-    {
-        return;
-    }
-    shared.dirty.borrow_mut().insert((node, oid));
-    bump(shared, node, Met::DirtyMarks);
-}
-
-/// Mark every replicated export of `node` dirty — used when by-value state
-/// on the node was written (it may sit inside any replicated object's
-/// fields), to re-seed the sweep after a restart cleared
-/// `synced_versions`, and by the quiescent full-table probe.
-pub(crate) fn mark_node_dirty(shared: &Shared, node: u32) {
-    if !shared.any_replication {
-        return;
-    }
-    let marked = {
-        let nodes = shared.nodes.borrow();
-        let st = &nodes[node as usize];
-        if st.replicated.is_empty() {
-            return;
-        }
-        let mut dirty = shared.dirty.borrow_mut();
-        for &oid in &st.replicated {
-            dirty.insert((node, oid));
-        }
-        st.replicated.len() as u64
-    };
-    let mut obs = shared.obs.borrow_mut();
-    for _ in 0..marked {
-        obs.inc(node, Met::DirtyMarks);
-    }
-}
-
-/// Turn `node`'s heap write log into dirty marks. A written export is
-/// marked exactly. A written array or untransformed object is by-value
-/// state that may sit inside any replicated object's fields, so the node
-/// is marked whole. Any other write — a proxy, an unexported local — cannot
-/// change what a replica ships.
-fn drain_write_log(shared: &Shared, node: u32) {
-    let vm = &shared.vms[node as usize];
-    let mut writes = vm.with_heap(Heap::take_writes);
-    writes.sort_unstable();
-    writes.dedup();
-    let mut by_value = false;
-    for h in writes {
-        let oid = shared.nodes.borrow()[node as usize]
-            .export_ids
-            .get(&h)
-            .copied();
-        match oid {
-            Some(oid) => mark_dirty(shared, node, oid),
-            None => {
-                by_value = by_value
-                    || vm.with_heap(|heap| match heap.get(h) {
-                        Some(HeapEntry::Array { .. }) => true,
-                        Some(HeapEntry::Object { class, .. }) => gen_info(shared, *class).is_none(),
-                        None => false,
-                    });
-            }
-        }
-    }
-    if by_value {
-        mark_node_dirty(shared, node);
-    }
-}
-
-/// Demote the export `(node, oid)` to a forwarding stub: the object
-/// migrated (or was pulled) away and the in-place-rewritten proxy now only
-/// forwards. The entry leaves [`NodeState::exports`] — sweeps, affinity
-/// checks and registry summaries stop seeing it — but stays resolvable
-/// through [`lookup_export`], so transparent forwarding, liveness checks
-/// and the stale-location monitor behave exactly as before.
-pub(crate) fn demote_export_to_forward(shared: &Shared, node: u32, oid: u64) {
-    let mut nodes = shared.nodes.borrow_mut();
-    let st = &mut nodes[node as usize];
-    if let Some(h) = st.exports.remove(&oid) {
-        st.forwards.insert(oid, h);
-    }
-    st.replicated.remove(&oid);
-    drop(nodes);
-    shared.dirty.borrow_mut().remove(&(node, oid));
-}
-
-/// Drop call-count affinity data referring to a moved object, cluster-wide:
-/// the entries for its old and new locations on the nodes themselves, and
-/// any node's entry whose exported handle is a proxy pointing at either
-/// location. Without this, an `adapt` pass after a migration can act on
-/// pre-move affinity data (the counts describe calls the object received at
-/// a home it no longer has).
-pub(crate) fn purge_call_counts(shared: &Shared, locations: &[(u32, u64)]) {
-    let mut nodes = shared.nodes.borrow_mut();
-    for (i, state) in nodes.iter_mut().enumerate() {
-        let vm = &shared.vms[i];
-        let exports = &state.exports;
-        state.call_counts.retain(|&oid, _| {
-            if locations.contains(&(i as u32, oid)) {
-                return false;
-            }
-            let Some(&h) = exports.get(&oid) else {
-                return true;
-            };
-            let is_proxy = vm
-                .class_of(h)
-                .and_then(|c| shared.gen_info.get(&c))
-                .is_some_and(|info| info.proto.is_some());
-            if !is_proxy {
-                return true;
-            }
-            match read_proxy_state(vm, h) {
-                Some(loc) => !locations.contains(&loc),
-                None => true,
-            }
-        });
-    }
-}
-
-/// Add `member` to the shard membership list of `(class, shard)`, once.
-fn record_shard_member(shared: &Shared, class: &str, shard: u32, member: (u32, u64)) {
-    let mut shards = shared.shards.borrow_mut();
-    let members = shards
-        .members
-        .entry((class.to_string(), shard))
-        .or_default();
-    if !members.contains(&member) {
-        members.push(member);
-    }
-}
-
-/// Drop shard members that no longer resolve to a live, locally
-/// implemented object: crashed nodes, restarted registries, and exports
-/// rewritten into forwarding proxies (the instance will be re-adopted at
-/// its new home on the next tick).
-fn prune_shard_members(shared: &Shared) {
-    let mut shards = shared.shards.borrow_mut();
-    for members in shards.members.values_mut() {
-        members.retain(|&(n, oid)| {
-            if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
-                return false;
-            }
-            let Some(h) = lookup_export(shared, NodeId(n), oid) else {
-                return false;
-            };
-            shared.vms[n as usize]
-                .class_of(h)
-                .and_then(|c| shared.gen_info.get(&c))
-                .is_some_and(|info| info.proto.is_none())
-        });
-    }
-    shards.members.retain(|_, ms| !ms.is_empty());
-}
-
-pub(crate) fn read_proxy_state(vm: &Vm, h: Handle) -> Option<(u32, u64)> {
-    let (_, fields) = vm.read_object(h)?;
-    match (fields.first(), fields.get(1)) {
-        (Some(Value::Int(node)), Some(Value::Long(oid))) => Some((*node as u32, *oid as u64)),
-        _ => None,
-    }
-}
-
-/// The deterministic replication targets for an export owned by `owner` in
-/// a cluster of `nodes` nodes: the `k` lowest-numbered node ids other than
-/// the owner. A pure function of the topology — there is no replica
-/// registry to keep consistent or repair, and a restarted backup re-enters
-/// the target set automatically at the owner's next sync. Failover tries
-/// the same list in the same order, so every client re-homes to the same
-/// replica.
-pub(crate) fn replica_targets(k: u32, owner: u32, nodes: u32) -> Vec<u32> {
-    (0..nodes)
-        .filter(|&n| n != owner)
-        .take(k as usize)
-        .collect()
-}
-
-/// Ship the current state of export `oid` on `owner` to its replication
-/// targets, if its class is replicated by policy. Called after every served
-/// operation that may have mutated the object (and after exports that
-/// create one), so a live backup is never behind the last mutation the
-/// owner served.
-///
-/// Crashed targets are skipped outright — the fault-plan lookup stands in
-/// for the failure detector a real owner would run — and other sync
-/// failures are swallowed: replication is best-effort per sync and repaired
-/// by the next one. Only the authoritative copy is shipped; proxies and
-/// forwarding exports never sync.
-pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
-    let Some(h) = lookup_export(shared, owner, oid) else {
-        return;
-    };
-    let vm = &shared.vms[owner.0 as usize];
-    let Some(class) = vm.class_of(h) else {
-        return;
-    };
-    let Some(info) = shared.gen_info.get(&class) else {
-        return;
-    };
-    if info.proto.is_some() {
-        return;
-    }
-    let base_name = shared.universe.class(info.base).name.clone();
-    let k = shared.policy.replicas(&base_name);
-    if k == 0 {
-        return;
-    }
-    let Some((_, fields)) = vm.read_object(h) else {
-        return;
-    };
-    let Ok(wire_fields) = marshal::values_to_wire(shared, owner, &fields) else {
-        return;
-    };
-    // Writes logged so far are covered by this probe: turning them into
-    // marks now lets the settle or the shipment below spend this object's
-    // mark, instead of leaving it for a redundant probe at the next sweep.
-    drain_write_log(shared, owner.0);
-    // Skip the no-op sync outright: if neither the version nor the state
-    // has moved since the last shipment, the backups already hold exactly
-    // this state and k exchanges would buy nothing. Repeated `Discover`
-    // and `Create` serves of an unmutated singleton hit this constantly.
-    //
-    // State drift at an *unchanged* version means the object was mutated
-    // outside the serve path — a promoted or pulled replica living in the
-    // caller's own VM takes plain local calls that never bump the version.
-    // Bump it here before shipping: the backups must not hold two
-    // different states under one version tag, and stale property-cache
-    // entries tagged with the old version must stop validating.
-    let version = shared.dir.borrow().version((owner.0, oid));
-    let prior = shared.nodes.borrow()[owner.0 as usize]
-        .synced_versions
-        .get(&oid)
-        .cloned();
-    let version = match prior {
-        Some((v, ref shipped)) if v == version && *shipped == wire_fields => {
-            // Nothing drifted: the probe settled this location, so a
-            // pending dirty mark for it is spent.
-            shared.dirty.borrow_mut().remove(&(owner.0, oid));
-            return;
-        }
-        Some((v, _)) if v == version => bump_version(shared, owner.0, oid),
-        _ => version,
-    };
-    let class_name = shared.universe.class(class).name.clone();
-    let proto = shared.policy.protocol(&base_name);
-    let batched = shared.policy.batched(&base_name);
-    // Record the shipment *before* the exchanges below: each one is a
-    // top-level rpc, which runs the dirty-replica sweep, which would see an
-    // unrecorded (or stale-recorded) entry for this very object and ship it
-    // a second time.
-    shared.nodes.borrow_mut()[owner.0 as usize]
-        .synced_versions
-        .insert(oid, (version, wire_fields.clone()));
-    // This shipment spends the dirty mark (including the re-mark the
-    // drift bump above just made): state and record agree again.
-    shared.dirty.borrow_mut().remove(&(owner.0, oid));
-    for t in replica_targets(k, owner.0, shared.vms.len() as u32) {
-        if shared.net.fault_plan(|f| f.is_crashed(NodeId(t))) {
-            continue;
-        }
-        let req = Request::ReplicaSync {
-            object: oid,
-            version,
-            state: WireValue::ObjectState {
-                class: class_name.clone(),
-                fields: wire_fields.clone(),
-            },
-        };
-        if batched {
-            // Replica shipments of a batched class are deferrable: they
-            // ride the owner's outcall queue to each backup and land at the
-            // next synchronization point.
-            enqueue_outcall(shared, owner, NodeId(t), &proto, &base_name, req);
-        } else {
-            let _ = rpc(shared, owner, NodeId(t), &proto, &base_name, &req);
-        }
-    }
-}
-
-/// Re-ship every **dirty** replicated export whose live state drifted from
-/// its last shipment — the dirty-replica sweep run at synchronization
-/// points.
-///
-/// Mutations served over the wire trigger [`sync_replicas`] inline, but a
-/// promoted (or pulled) object lives in its caller's VM and takes plain
-/// local calls the runtime never sees. The sweep closes that gap: at every
-/// top-level exchange and at quiescent points, the locations marked dirty
-/// since their last shipment are offered to [`sync_replicas`], which ships
-/// (and version-bumps) exactly those whose state moved and no-ops on the
-/// rest.
-///
-/// The sweep drains [`Shared::dirty`] instead of enumerating every export
-/// of every node — O(dirty) per synchronization point, not O(exports) —
-/// and iterates it in `(node, oid)` order, the exact order the old
-/// full-table sweep enumerated, so the shipment sequence (and with it
-/// every message id, clock reading and report byte) is unchanged for any
-/// run. Marking covers everything the full sweep could ship: version
-/// bumps, fresh replicated exports, restart re-seeds, and bare local
-/// mutations, which the heap write logs record and the sweep drains first
-/// (see the marking helpers around [`mark_dirty`]). Gated on
-/// `any_replication` so workloads without a `replicate` policy pay one
-/// boolean test, and guarded against re-entry because the shipments are
-/// themselves exchanges.
-pub(crate) fn sync_dirty_replicas(shared: &Shared) {
-    if !shared.any_replication || shared.in_replica_sweep.get() {
-        return;
-    }
-    for n in 0..shared.vms.len() as u32 {
-        drain_write_log(shared, n);
-    }
-    if shared.dirty.borrow().is_empty() {
-        return;
-    }
-    shared.in_replica_sweep.set(true);
-    // Take the set whole: marks made *during* the sweep (writes logged by
-    // nested exchanges, the drift bump inside a shipment) are next sweep's
-    // work, exactly like mutations made during the old full enumeration.
-    let targets = std::mem::take(&mut *shared.dirty.borrow_mut());
-    for (n, oid) in targets {
-        // A crashed owner cannot ship; its backups are exactly what the
-        // failover machinery is for. The entry is dropped, not kept: a
-        // restart wipes the owner's state and re-seeds the sweep for every
-        // node, so nothing stale survives to ship.
-        if shared.net.fault_plan(|f| f.is_crashed(NodeId(n))) {
-            continue;
-        }
-        bump(shared, n, Met::ReplicaSweepProbes);
-        sync_replicas(shared, NodeId(n), oid);
-    }
-    shared.in_replica_sweep.set(false);
-}
-
 /// Allocate an object of `class` with JVM-default field values.
 pub(crate) fn default_instance(shared: &Shared, node: NodeId, class: ClassId) -> Handle {
     let defaults: Vec<Value> = shared
@@ -2587,1950 +1085,19 @@ pub(crate) fn default_instance(shared: &Shared, node: NodeId, class: ClassId) ->
     shared.vms[node.0 as usize].alloc_raw(class, defaults)
 }
 
-// ----------------------------------------------------------------------
-// Factory hook implementations
-// ----------------------------------------------------------------------
-
-/// `A_O_Factory.make()` on `node`: policy decides where the instance lives.
-pub(crate) fn make_value(shared: &Shared, node: NodeId, base: ClassId) -> Result<Value, VmError> {
-    let base_name = shared.universe.class(base).name.clone();
-    let target = shared.policy.instance_node(&base_name, node);
-    let family = shared.plan.family(base).expect("substitutable").clone();
-    if target == node {
-        // `new` triggers class initialisation, as in the JVM.
-        if family.has_statics {
-            discover_value(shared, node, base)?;
-        }
-        let h = default_instance(shared, node, family.obj_local);
-        Ok(Value::Ref(h))
-    } else {
-        let proto = shared.policy.protocol(&base_name);
-        let (reply, _) = rpc(
-            shared,
-            node,
-            target,
-            &proto,
-            &base_name,
-            &Request::Create {
-                class: base_name.clone(),
-                ctor: 0,
-                args: vec![],
-            },
-        )?;
-        match reply {
-            Reply::Value(wv) => marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native),
-            Reply::Fault(m) => Err(VmError::Native(m)),
-            Reply::Exception { .. } => Err(VmError::Native("exception during create".into())),
-            Reply::Batch(_) => Err(VmError::Native("unexpected batch reply to create".into())),
-        }
-    }
-}
-
-/// `A_C_Factory.discover()` on `node`: per-node singleton, local or remote
-/// per policy, with JVM-style in-progress semantics.
-pub(crate) fn discover_value(
-    shared: &Shared,
-    node: NodeId,
-    base: ClassId,
-) -> Result<Value, VmError> {
-    if let Some(state) = shared.nodes.borrow()[node.0 as usize].singletons.get(&base) {
-        return Ok(Value::Ref(state.handle()));
-    }
-    let base_name = shared.universe.class(base).name.clone();
-    let family = shared.plan.family(base).expect("substitutable").clone();
-    let owner = shared.policy.statics_node(&base_name);
-    // Stale-promotion guard (bugfix): if this class's singleton was
-    // promoted after a crash, every resolution must follow the promoted
-    // copy — even (and especially) on the restarted pre-crash owner, whose
-    // wiped registry would otherwise mint a fresh singleton with default
-    // state, silently diverging from the copy the survivors still use.
-    let moved = {
-        let dir = shared.dir.borrow();
-        dir.singleton(&base_name)
-            .and_then(|start| Some(dir.follow(start)).filter(|&home| home != start))
-    };
-    // A copy promoted onto this very node is adopted as the local
-    // singleton. If the promoted copy vanished too (its node also
-    // restarted), fall through to policy resolution; the first proxy call
-    // will re-promote from the copy's own backups.
-    let promoted = match moved {
-        Some((tn, toid)) if tn == node.0 => lookup_export(shared, node, toid).map(Value::Ref),
-        Some(home) => remote_at(shared, home)
-            .map(|remote| marshal::wire_to_value(shared, node, &remote))
-            .transpose()
-            .map_err(VmError::Native)?,
-        None => None,
-    };
-    let value = if let Some(value) = promoted {
-        value
-    } else if owner == node {
-        let cls_local = family.cls_local.expect("has statics");
-        let h = default_instance(shared, node, cls_local);
-        shared.nodes.borrow_mut()[node.0 as usize]
-            .singletons
-            .insert(base, SingletonState::InProgress(h));
-        if let (Some(cls_factory), Some(clinit_sig)) = (family.cls_factory, family.clinit_sig) {
-            shared.vms[node.0 as usize].call_static(
-                cls_factory,
-                clinit_sig,
-                vec![Value::Ref(h)],
-            )?;
-        }
-        Value::Ref(h)
-    } else {
-        let proto = shared.policy.protocol(&base_name);
-        let (reply, _) = rpc(
-            shared,
-            node,
-            owner,
-            &proto,
-            &base_name,
-            &Request::Discover {
-                class: base_name.clone(),
-            },
-        )?;
-        match reply {
-            Reply::Value(wv) => {
-                marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)?
-            }
-            Reply::Fault(m) => return Err(VmError::Native(m)),
-            Reply::Exception { .. } => {
-                return Err(VmError::Native("exception during discover".into()))
-            }
-            Reply::Batch(_) => {
-                return Err(VmError::Native("unexpected batch reply to discover".into()))
-            }
-        }
-    };
-    if let Value::Ref(h) = value {
-        shared.nodes.borrow_mut()[node.0 as usize]
-            .singletons
-            .insert(base, SingletonState::Ready(h));
-    }
-    Ok(value)
-}
-
-// ----------------------------------------------------------------------
-// Proxy call path
-// ----------------------------------------------------------------------
-
-/// A proxy method invoked on `node`: marshal, ship, execute remotely,
-/// unmarshal (or re-throw).
-fn proxy_call(
-    shared: &Shared,
-    node: NodeId,
-    method_name: &str,
-    sig: SigId,
-    args: &[Value],
-) -> Result<Value, VmError> {
-    let vm = &shared.vms[node.0 as usize];
-    let recv = args
-        .first()
-        .and_then(Value::as_ref_handle)
-        .ok_or_else(|| VmError::type_error("proxy call without receiver"))?;
-    let class = vm
-        .class_of(recv)
-        .ok_or_else(|| VmError::Native("stale proxy".into()))?;
-    let info = shared.gen_info.get(&class).cloned().ok_or_else(|| {
-        VmError::Native(format!(
-            "no proxy info for {}",
-            shared.universe.class(class).name
-        ))
-    })?;
-    let proto = info.proto.clone().expect("hooked on a proxy");
-    let (mut target, mut oid) =
-        read_proxy_state(vm, recv).ok_or_else(|| VmError::Native("stale proxy".into()))?;
-    let wire_args = marshal::values_to_wire(shared, node, &args[1..]).map_err(VmError::Native)?;
-    let method = format!("{method_name}@{}", sig.0);
-    let base_name = shared.universe.class(info.base).name.clone();
-    // Property-cache fast path: a cacheable getter whose cached tag still
-    // equals the owner's current version is served locally — no exchange,
-    // no clock advance. Coherence rests on the tag check: every mutation
-    // on the owner bumps the version, so a hit can never observe a value
-    // older than the last write the owner served.
-    let is_getter = shared
-        .plan
-        .family(info.base)
-        .is_some_and(|f| match info.side {
-            Side::Obj => f.getters.contains(&sig),
-            Side::Cls => f.static_getters.contains(&sig),
-        });
-    // Replica-read fast path (E15): getters of `reads from replicas`
-    // classes are served from this node's own replica copy when — and only
-    // when — the copy carries the owner's *current* property version. The
-    // tag check makes staleness impossible by construction (same argument
-    // as the property cache): any acknowledged mutation bumped the owner's
-    // version before its reply left, so a lagging copy simply fails the
-    // check and the read falls through to a normal owner exchange.
-    if is_getter
-        && shared.any_replication
-        && shared.policy.reads_from_replicas(&base_name)
-        && shared.policy.replicas(&base_name) > 0
-    {
-        if let Some(v) = replica_read(shared, node, &base_name, &proto, &method, sig, target, oid)?
-        {
-            return Ok(v);
-        }
-    }
-    let cache_on = is_getter && shared.policy.cacheable(&base_name);
-    let cache_key = (target, oid, sig);
-    if cache_on {
-        let current = shared.dir.borrow().live_version((target, oid));
-        let cached = shared.nodes.borrow()[node.0 as usize]
-            .prop_cache
-            .get(&cache_key)
-            .cloned();
-        match cached {
-            Some((tag, wv)) if Some(tag) == current => {
-                bump(shared, node.0, Met::CacheHits);
-                record_local_read(
-                    shared,
-                    node,
-                    &base_name,
-                    &proto,
-                    &method,
-                    (target, oid),
-                    "cached",
-                );
-                return marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native);
-            }
-            Some(_) => bump(shared, node.0, Met::CacheInvalidations),
-            None => bump(shared, node.0, Met::CacheMisses),
-        }
-    }
-    // Batched remote invocation: a void-returning call on a `batch on`
-    // class has no result to wait for, so it is deferred onto the
-    // `(caller, owner)` outcall queue instead of paying a full exchange.
-    // It ships as part of a single [`Request::Batch`] frame at the next
-    // synchronization point — and every value-returning call to any owner
-    // *is* one, so a later read always observes the deferred writes.
-    // Deferral is decided against the proxy class's own method table (the
-    // generated setters only exist there, not on the base class;
-    // signatures are interned globally, so the ids agree).
-    if shared.policy.batched(&base_name) {
-        let is_void = shared
-            .universe
-            .class(class)
-            .methods
-            .iter()
-            .find(|m| m.sig == sig)
-            .is_some_and(|m| m.ret == Ty::Void);
-        if is_void {
-            // Read-your-writes: this node's cached property reads of the
-            // object no longer reflect the queue, and the version tag
-            // cannot catch that (the owner has not served the write yet).
-            // Drop them; the next read goes remote, which flushes first.
-            {
-                let mut nodes = shared.nodes.borrow_mut();
-                let state = &mut nodes[node.0 as usize];
-                state
-                    .prop_cache
-                    .retain(|&(t, o, _), _| !(t == target && o == oid));
-                state
-                    .prop_cache_order
-                    .retain(|&(t, o, _)| !(t == target && o == oid));
-            }
-            enqueue_outcall(
-                shared,
-                node,
-                NodeId(target),
-                &proto,
-                &base_name,
-                Request::Call {
-                    object: oid,
-                    method,
-                    args: wire_args,
-                },
-            );
-            return Ok(Value::Null);
-        }
-    }
-    let mut req = Request::Call {
-        object: oid,
-        method: method.clone(),
-        args: wire_args,
-    };
-    // Crash-stop failover: when the owner turns out to be crashed — or has
-    // restarted with amnesia and no longer knows the export — re-home the
-    // proxy to a (promoted) replica and retry. At most one hop per node:
-    // each hop either follows an already-recorded promotion forward or
-    // performs a new one, and crash states only change between top-level
-    // operations, so the loop cannot cycle.
-    let mut hops = 0u32;
-    let (reply, obj_version) = loop {
-        let outcome = rpc(shared, node, NodeId(target), &proto, &base_name, &req);
-        let rehome = match &outcome {
-            Err(VmError::Unreachable(nf)) => {
-                matches!(nf.kind, NetFailureKind::NodeCrashed(_))
-            }
-            Ok((Reply::Fault(m), _)) => m.starts_with("unknown object "),
-            _ => false,
-        };
-        if rehome && hops <= shared.vms.len() as u32 {
-            if let Some((nn, noid)) =
-                failover(shared, node, recv, class, &proto, &base_name, target, oid)
-            {
-                hops += 1;
-                (target, oid) = (nn, noid);
-                if let Request::Call { object, .. } = &mut req {
-                    *object = oid;
-                }
-                continue;
-            }
-        }
-        break outcome?;
-    };
-    let cache_key = (target, oid, sig);
-    match reply {
-        Reply::Value(wv) => {
-            if cache_on && obj_version != VERSION_TOMBSTONE {
-                let mut nodes = shared.nodes.borrow_mut();
-                let state = &mut nodes[node.0 as usize];
-                if !state.prop_cache.contains_key(&cache_key) {
-                    if state.prop_cache_order.len() >= PROP_CACHE_CAP {
-                        if let Some(evict) = state.prop_cache_order.pop_front() {
-                            state.prop_cache.remove(&evict);
-                        }
-                    }
-                    state.prop_cache_order.push_back(cache_key);
-                }
-                state
-                    .prop_cache
-                    .insert(cache_key, (obj_version, wv.clone()));
-            }
-            marshal::wire_to_value(shared, node, &wv).map_err(VmError::Native)
-        }
-        Reply::Exception { class, fields } => {
-            let exc_class = shared
-                .universe
-                .by_name(&class)
-                .ok_or_else(|| VmError::Native(format!("unknown exception class {class}")))?;
-            let values = marshal::wire_to_values(shared, node, &fields).map_err(VmError::Native)?;
-            let h = vm.alloc_raw(exc_class, values);
-            Err(VmError::Exception(h))
-        }
-        Reply::Fault(m) => Err(VmError::Native(m)),
-        Reply::Batch(_) => Err(VmError::Native("unexpected batch reply to a call".into())),
-    }
-}
-
-/// Serve a getter from `node`'s own replica copy of `(owner, oid)`, iff
-/// the copy's version equals the owner's current property version (and the
-/// export has not been tombstoned by a move). `Ok(None)` means the node
-/// holds no copy or the copy lags — the caller falls through to a normal
-/// owner exchange, whose served reply restores the replica's currency.
-///
-/// In the simulated topology every inter-node link costs the same, so the
-/// nearest *profitable* replica is always the caller's own store: remote
-/// replicas would cost exactly what the owner does.
-#[allow(clippy::too_many_arguments)]
-fn replica_read(
-    shared: &Shared,
-    node: NodeId,
-    base_name: &str,
-    proto: &str,
-    method: &str,
-    sig: SigId,
-    owner: u32,
-    oid: u64,
-) -> Result<Option<Value>, VmError> {
-    if owner == node.0 {
-        return Ok(None);
-    }
-    let Some(current) = shared.dir.borrow().live_version((owner, oid)) else {
-        return Ok(None);
-    };
-    let copy = shared.nodes.borrow()[node.0 as usize]
-        .replica_store
-        .get(&(owner, oid))
-        .cloned();
-    let Some((version, class_name, fields)) = copy else {
-        return Ok(None);
-    };
-    if version != current {
-        return Ok(None);
-    }
-    let Some(local_class) = shared.universe.by_name(&class_name) else {
-        return Ok(None);
-    };
-    // Materialise a throwaway local instance from the replica's wire-form
-    // state and run the real getter bytecode against it — no field-layout
-    // knowledge needed here, and the temporary is unrooted garbage after
-    // the call returns.
-    let vm = &shared.vms[node.0 as usize];
-    let values = marshal::wire_to_values(shared, node, &fields).map_err(VmError::Native)?;
-    let h = vm.alloc_raw(local_class, values);
-    let result = vm.call_virtual(Value::Ref(h), sig, vec![])?;
-    bump(shared, node.0, Met::ReplicaReads);
-    record_local_read(
-        shared,
-        node,
-        base_name,
-        proto,
-        method,
-        (owner, oid),
-        "replica_read",
-    );
-    Ok(Some(result))
-}
-
-/// Account for a getter served on `node` with no exchange, from the
-/// property cache or a replica copy (`flag` names which): a zero-duration
-/// `rpc.call` span keeps the read visible in traces, and a
-/// [`MonitorEvent::CacheHit`] puts it under the stale-read oracle.
-fn record_local_read(
-    shared: &Shared,
-    node: NodeId,
-    base_name: &str,
-    proto: &str,
-    method: &str,
-    (owner, oid): Loc,
-    flag: &'static str,
-) {
-    let now = shared.net.now().as_ns();
-    let ctx = {
-        let mut spans = shared.spans.borrow_mut();
-        let h = spans.start_span("rpc.call", node.0, now);
-        spans.set_attr(h, "class", base_name);
-        spans.set_attr(h, "method", method.to_owned());
-        spans.set_attr(h, "protocol", proto);
-        spans.set_attr(h, "from", node.0);
-        spans.set_attr(h, "to", owner);
-        spans.set_attr(h, flag, true);
-        spans.end_span(h, now, SpanOutcome::Ok);
-        spans.context_of(h)
-    };
-    if monitors_on(shared) {
-        let stale_location = stale_location(shared, (owner, oid));
-        shared.obs.borrow_mut().emit(&MonitorEvent::CacheHit {
-            node: node.0,
-            owner,
-            oid,
-            stale_location,
-            span_id: ctx.span_id,
-            trace_id: ctx.trace_id,
-        });
-    }
-}
-
-/// Whether the authoritative copy at `loc` has moved away: the export now
-/// forwards, or the directory links it to a new home. A merely *missing*
-/// export (restart amnesia) is not stale — the version survived, the state
-/// did not move. Deliberately blind to the version: the stale-read monitor
-/// judges cache hits with this, so it must not trust the tombstone whose
-/// absence it exists to catch.
-fn stale_location(shared: &Shared, (owner, oid): Loc) -> bool {
-    let forwards = lookup_export(shared, NodeId(owner), oid)
-        .and_then(|h| shared.vms[owner as usize].class_of(h))
-        .and_then(|c| shared.gen_info.get(&c))
-        .is_some_and(|i| i.proto.is_some());
-    forwards || shared.dir.borrow().successor((owner, oid)).is_some()
-}
-
-/// The live object at `loc` as a remote reference, or `None` when no live
-/// export resolves there.
-fn remote_at(shared: &Shared, (node, object): Loc) -> Option<WireValue> {
-    let h = lookup_export(shared, NodeId(node), object)?;
-    let class = shared.vms[node as usize].class_of(h)?;
-    Some(WireValue::Remote {
-        node,
-        object,
-        class: shared.universe.class(class).name.clone(),
-    })
-}
-
-/// Client-side re-homing after the owner of `(target, oid)` turned out to
-/// be crashed, or restarted with amnesia. Follows the directory's chain
-/// of recorded moves first; only if it dead-ends on a dead (or amnesiac)
-/// location does it ask that location's replicas — lowest node id first —
-/// to promote their backup copy. On success the proxy `recv` is rewritten
-/// in place to the new home, which is also returned; `None` means no live
-/// replica could take over and the original failure stands.
-///
-/// The whole re-homing is wrapped in a `rpc.failover` span chained via
-/// `retry_of` to the exchange that failed, so traces show the causal link
-/// from the dead owner to the promoted copy.
-#[allow(clippy::too_many_arguments)]
-fn failover(
-    shared: &Shared,
-    node: NodeId,
-    recv: Handle,
-    proxy_class: ClassId,
-    proto: &str,
-    base_name: &str,
-    target: u32,
-    oid: u64,
-) -> Option<(u32, u64)> {
-    let start = shared.net.now().as_ns();
-    let span = {
-        let mut spans = shared.spans.borrow_mut();
-        let h = spans.start_span("rpc.failover", node.0, start);
-        spans.set_attr(h, "class", base_name);
-        spans.set_attr(h, "protocol", proto);
-        spans.set_attr(h, "from", node.0);
-        spans.set_attr(h, "old_home", format!("{target}#{oid}"));
-        let prior = shared.last_exchange_span.get();
-        if prior != 0 {
-            spans.set_retry_of(h, prior);
-        }
-        h
-    };
-    let home = locate_home(shared, node, proto, base_name, target, oid);
-    let end = shared.net.now().as_ns();
-    {
-        let mut spans = shared.spans.borrow_mut();
-        match home {
-            Some((nn, noid)) => {
-                spans.set_attr(span, "new_home", format!("{nn}#{noid}"));
-                spans.end_span(span, end, SpanOutcome::Ok);
-            }
-            None => spans.end_span(span, end, SpanOutcome::NetFailure),
-        }
-    }
-    let (nn, noid) = home?;
-    // When this node itself promoted the object, the backup was materialised
-    // straight into `recv` (the import rewritten in place, as with Install):
-    // `recv` already IS the object, and re-proxying it would create a proxy
-    // that points at itself.
-    if !(nn == node.0 && lookup_export(shared, node, noid) == Some(recv)) {
-        let vm = &shared.vms[node.0 as usize];
-        vm.replace_object(
-            recv,
-            proxy_class,
-            vec![Value::Int(nn as i32), Value::Long(noid as i64)],
-        );
-        // The old import entry stays: a reference to the dead location that
-        // arrives later materialises through it and lands on this re-homed
-        // proxy — the same logical object.
-        cache_import(shared, node, nn, noid, recv);
-    }
-    bump(shared, node.0, Met::Failovers);
-    Some((nn, noid))
-}
-
-/// Find the live home of `(target, oid)`: follow recorded moves, then
-/// ask the terminal location's replicas to promote their backup, lowest
-/// node id first. Returns `None` when nobody can take over — the class is
-/// unreplicated, or every backup is down or lost its copy.
-fn locate_home(
-    shared: &Shared,
-    node: NodeId,
-    proto: &str,
-    base_name: &str,
-    target: u32,
-    oid: u64,
-) -> Option<(u32, u64)> {
-    let crashed = |n: u32| shared.net.fault_plan(|f| f.is_crashed(NodeId(n)));
-    let (tn, toid) = shared.dir.borrow().follow((target, oid));
-    // Only route to the chain's end while the promoted copy is actually
-    // there: a terminal node that crash-restarted has a wiped registry, and
-    // sending callers to it would loop through "unknown object" faults
-    // instead of promoting one of the copy's own backups below.
-    if (tn, toid) != (target, oid)
-        && !crashed(tn)
-        && lookup_export(shared, NodeId(tn), toid).is_some()
-    {
-        return Some((tn, toid));
-    }
-    let k = shared.policy.replicas(base_name);
-    if k == 0 {
-        return None;
-    }
-    for c in replica_targets(k, tn, shared.vms.len() as u32) {
-        // The fault-plan lookup stands in for a failure detector: known-dead
-        // candidates are skipped instead of timed out against.
-        if crashed(c) {
-            continue;
-        }
-        let req = Request::Promote {
-            node: tn,
-            object: toid,
-        };
-        match rpc(shared, node, NodeId(c), proto, base_name, &req) {
-            Ok((
-                Reply::Value(WireValue::Remote {
-                    node: nn,
-                    object: noid,
-                    ..
-                }),
-                _,
-            )) => return Some((nn, noid)),
-            // A fault (the backup restarted and lost its copy) or a network
-            // failure both mean: try the next candidate.
-            _ => continue,
-        }
-    }
-    None
-}
-
-// ----------------------------------------------------------------------
-// Batched remote invocation
-// ----------------------------------------------------------------------
-
-/// Operations deferred toward one owner by one caller, flushed as a single
-/// [`Request::Batch`] exchange at the next synchronization point. The
-/// protocol and class recorded at first enqueue label the flush exchange
-/// (all ops on one queue use the owner's protocol anyway).
-#[derive(Debug)]
-pub(crate) struct PendingBatch {
-    proto: String,
-    class: String,
-    ops: Vec<Request>,
-}
-
-/// Defer `op` onto the `(from, to)` outcall queue instead of performing an
-/// exchange now.
-fn enqueue_outcall(
-    shared: &Shared,
-    from: NodeId,
-    to: NodeId,
-    proto: &str,
-    class: &str,
-    op: Request,
-) {
-    let mut queues = shared.outqueues.borrow_mut();
-    let pending = queues
-        .entry((from.0, to.0))
-        .or_insert_with(|| PendingBatch {
-            proto: proto.to_owned(),
-            class: class.to_owned(),
-            ops: Vec::new(),
-        });
-    // Replica shipments supersede each other: only the newest state of an
-    // export needs to travel, so a queued sync of the same object is
-    // replaced in place (keeping its slot preserves the order of the other
-    // queued operations).
-    let sync_of = match &op {
-        Request::ReplicaSync { object, .. } => Some(*object),
-        _ => None,
-    };
-    if let Some(target_oid) = sync_of {
-        if let Some(slot) = pending
-            .ops
-            .iter_mut()
-            .find(|q| matches!(**q, Request::ReplicaSync { object, .. } if object == target_oid))
-        {
-            *slot = op;
-            drop(queues);
-            bump(shared, from.0, Met::BatchedOps);
-            return;
-        }
-    }
-    pending.ops.push(op);
-    drop(queues);
-    bump(shared, from.0, Met::BatchedOps);
-}
-
-/// Drain every pending outcall queue, shipping each as one
-/// [`Request::Batch`] exchange. Called at every synchronization point: any
-/// top-level exchange, fetch/migrate/pull, an adaptation tick,
-/// crash/restart, a clock read, and [`Cluster::flush`].
-///
-/// Serving a batch can enqueue follow-up operations (replica shipments of
-/// the applied calls, ops re-deferred through a forwarding proxy), so the
-/// drain loops until quiescent; queues go out in sorted key order so runs
-/// stay deterministic. After the first failure the remaining queues still
-/// drain — their operations must not be silently lost — and the first
-/// error is reported.
-///
-/// With batching off the queues are permanently empty and this returns
-/// after one emptiness check, leaving clocks, traces and telemetry
-/// byte-identical to a runtime without batching.
-pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
-    if shared.in_flush.get() || shared.outqueues.borrow().is_empty() {
-        return Ok(());
-    }
-    shared.in_flush.set(true);
-    let mut first_err = None;
-    loop {
-        let mut keys: Vec<(u32, u32)> = shared.outqueues.borrow().keys().copied().collect();
-        if keys.is_empty() {
-            break;
-        }
-        keys.sort_unstable();
-        for key in keys {
-            let Some(pending) = shared.outqueues.borrow_mut().remove(&key) else {
-                continue;
-            };
-            bump(shared, key.0, Met::Flushes);
-            let (from, to) = (NodeId(key.0), NodeId(key.1));
-            let outcome = rpc(
-                shared,
-                from,
-                to,
-                &pending.proto,
-                &pending.class,
-                &Request::Batch(pending.ops.clone()),
-            );
-            // The owner died between the deferral and this flush (delivery
-            // refused, nothing applied). The accepted calls must not be
-            // lost: re-home each onto the object's promoted backup — the
-            // same failover a synchronous call would take — and re-defer
-            // it there; this drain loop ships the new queues. Replica
-            // shipments for the dead node are dropped: restart clears the
-            // synced-version marks, so the owner re-seeds it at its next
-            // sync anyway.
-            let node_crashed = matches!(
-                &outcome,
-                Err(e) if matches!(
-                    e.net_failure().map(|nf| nf.kind),
-                    Some(NetFailureKind::NodeCrashed(_))
-                )
-            );
-            if node_crashed {
-                for op in pending.ops {
-                    let Request::Call { object, .. } = &op else {
-                        continue;
-                    };
-                    match locate_home(shared, from, &pending.proto, &pending.class, to.0, *object) {
-                        Some((nn, noid)) => {
-                            let Request::Call { method, args, .. } = op else {
-                                unreachable!("matched above");
-                            };
-                            enqueue_outcall(
-                                shared,
-                                from,
-                                NodeId(nn),
-                                &pending.proto,
-                                &pending.class,
-                                Request::Call {
-                                    object: noid,
-                                    method,
-                                    args,
-                                },
-                            );
-                            bump(shared, from.0, Met::Failovers);
-                        }
-                        // Nobody can take over (unreplicated, or every
-                        // backup is gone): the deferred call is lost for
-                        // real — surface that at this synchronization
-                        // point like any other flush failure.
-                        None => {
-                            if first_err.is_none() {
-                                first_err =
-                                    outcome.as_ref().err().cloned().or_else(|| {
-                                        Some(VmError::Native("deferred call lost".into()))
-                                    });
-                            }
-                        }
-                    }
-                }
-            } else if first_err.is_none() {
-                first_err = flush_error(shared, from, outcome);
-            }
-        }
-    }
-    shared.in_flush.set(false);
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// Surface the outcome of one flushed batch at the synchronization point
-/// that triggered it: network failures and faults propagate as-is, and a
-/// deferred operation that threw when it finally ran re-materialises its
-/// exception on the flushing node.
-fn flush_error(
-    shared: &Shared,
-    from: NodeId,
-    outcome: Result<(Reply, u64), VmError>,
-) -> Option<VmError> {
-    let results = match outcome {
-        Err(e) => return Some(e),
-        Ok((Reply::Batch(results), _)) => results,
-        Ok((Reply::Fault(m), _)) => return Some(VmError::Native(m)),
-        Ok(_) => return None,
-    };
-    for (_, r) in results {
-        match r {
-            Reply::Value(_) => {}
-            Reply::Exception { class, fields } => {
-                let Some(exc_class) = shared.universe.by_name(&class) else {
-                    return Some(VmError::Native(format!("unknown exception class {class}")));
-                };
-                let values = match marshal::wire_to_values(shared, from, &fields) {
-                    Ok(values) => values,
-                    Err(m) => return Some(VmError::Native(m)),
-                };
-                let h = shared.vms[from.0 as usize].alloc_raw(exc_class, values);
-                return Some(VmError::Exception(h));
-            }
-            Reply::Fault(m) => return Some(VmError::Native(m)),
-            Reply::Batch(_) => return Some(VmError::Native("nested batch reply".into())),
-        }
-    }
-    None
-}
-
-/// Perform one request/reply exchange, running the full encode → transmit →
-/// decode → handle → encode → transmit → decode pipeline and charging the
-/// protocol-stack overhead to the simulated clock.
-///
-/// Returns the reply together with the served object's property version as
-/// piggybacked on the reply frame (0 for request kinds that do not address
-/// a versioned export).
-pub(crate) fn rpc(
-    shared: &Shared,
-    from: NodeId,
-    to: NodeId,
-    proto: &str,
-    class: &str,
-    req: &Request,
-) -> Result<(Reply, u64), VmError> {
-    // Every exchange is a synchronization point: pending batches drain
-    // before this request goes out, so its server observes every operation
-    // deferred before it in program order. This must hold at *any* rpc
-    // depth — application code usually runs inside a serve already (the
-    // driver's `main` is itself a remote call), so gating on depth 0 would
-    // let nested value-returning calls read state whose mutations are still
-    // queued. Re-entrancy is safe: `flush_outqueues` is a no-op while a
-    // flush is already draining (`in_flush`), and the paths that snapshot
-    // object state (migrate, pull, replica sync of batched classes) flush
-    // or enqueue explicitly before snapshotting. With batching off the
-    // queues are permanently empty and this is a single emptiness check.
-    //
-    // The time-series sample is taken first for the same reason in
-    // reverse: queue-depth readings must see the work this flush is about
-    // to drain.
-    maybe_sample(shared);
-    flush_outqueues(shared)?;
-    // A promoted object's local mutations bypass the serve path entirely;
-    // the next exchange is the first chance to notice its backups are
-    // behind, and nested calls may observe them through their own replicas.
-    sync_dirty_replicas(shared);
-    let codec = shared
-        .protocols
-        .get(proto)
-        .ok_or_else(|| VmError::Native(format!("no codec for protocol {proto}")))?;
-    if shared.rpc_depth.get() >= MAX_RPC_DEPTH {
-        return Err(VmError::Native(
-            "rpc depth limit exceeded (unbounded distributed recursion?)".into(),
-        ));
-    }
-    shared.rpc_depth.set(shared.rpc_depth.get() + 1);
-    let result = rpc_inner(shared, from, to, codec.as_ref(), class, req);
-    shared.rpc_depth.set(shared.rpc_depth.get() - 1);
-    result
-}
-
-/// The span name of an exchange for one request kind.
-fn req_span_name(req: &Request) -> (&'static str, &'static str) {
-    match req {
-        Request::Call { .. } => ("rpc.call", "serve.call"),
-        Request::Create { .. } => ("rpc.create", "serve.create"),
-        Request::Discover { .. } => ("rpc.discover", "serve.discover"),
-        Request::Fetch { .. } => ("rpc.fetch", "serve.fetch"),
-        Request::Install { .. } => ("rpc.install", "serve.install"),
-        Request::Forward { .. } => ("rpc.forward", "serve.forward"),
-        Request::ReplicaSync { .. } => ("rpc.replica", "serve.replica"),
-        Request::Promote { .. } => ("rpc.promote", "serve.promote"),
-        Request::Batch(..) => ("rpc.batch", "serve.batch"),
-    }
-}
-
-/// The method label recorded on an exchange span: the wire method string
-/// for calls, a pseudo-method for the runtime-internal request kinds.
-fn req_method_label(req: &Request) -> String {
-    match req {
-        Request::Call { method, .. } => method.clone(),
-        Request::Create { ctor, .. } => format!("<create:{ctor}>"),
-        Request::Discover { .. } => "<discover>".to_owned(),
-        Request::Fetch { .. } => "<fetch>".to_owned(),
-        Request::Install { .. } => "<install>".to_owned(),
-        Request::Forward { .. } => "<forward>".to_owned(),
-        Request::ReplicaSync { .. } => "<replica>".to_owned(),
-        Request::Promote { .. } => "<promote>".to_owned(),
-        Request::Batch(..) => "<batch>".to_owned(),
-    }
-}
-
-/// The typed mirror of a transport error (same data, no crate dependency
-/// from the VM on the network).
-fn net_failure_kind(e: &NetError) -> NetFailureKind {
-    match e {
-        NetError::Dropped => NetFailureKind::Dropped,
-        NetError::Partitioned { from, to } => NetFailureKind::Partitioned {
-            from: from.0,
-            to: to.0,
-        },
-        NetError::NodeCrashed(n) => NetFailureKind::NodeCrashed(n.0),
-        NetError::NoSuchNode(n) => NetFailureKind::NoSuchNode(n.0),
-    }
-}
-
-fn rpc_inner(
-    shared: &Shared,
-    from: NodeId,
-    to: NodeId,
-    codec: &dyn Protocol,
-    class: &str,
-    req: &Request,
-) -> Result<(Reply, u64), VmError> {
-    let msg_id = shared.next_msg_id.get();
-    shared.next_msg_id.set(msg_id + 1);
-    let (exch_name, _) = req_span_name(req);
-    // The exchange span covers the whole request/reply exchange, retries
-    // included. Its context travels in the frame header — the frame is
-    // encoded once and retransmitted verbatim, so the wire cannot carry
-    // per-attempt contexts; attempts are recorded as client-local children.
-    let (exch, ctx) = {
-        let mut spans = shared.spans.borrow_mut();
-        let h = spans.start_span(exch_name, from.0, shared.net.now().as_ns());
-        spans.set_attr(h, "class", class);
-        spans.set_attr(h, "method", req_method_label(req));
-        spans.set_attr(h, "protocol", codec.name());
-        spans.set_attr(h, "from", from.0);
-        spans.set_attr(h, "to", to.0);
-        if let Request::Batch(ops) = req {
-            spans.set_attr(h, "n_ops", ops.len());
-        }
-        let ctx = spans.context_of(h);
-        (h, ctx)
-    };
-    // Encode once: every retransmission sends the same frame, same id
-    // (which also makes re-interning on the decode side idempotent). The
-    // buffer comes from the link's pool and goes back when the exchange
-    // finishes; the signature table is the directed link's, so repeated
-    // method/class names shrink to 5-byte references after their first
-    // frame.
-    let mut bytes = shared.wire_bufs.borrow_mut().checkout(from, to);
-    let encoded = {
-        let mut tables = shared.sig_tables.borrow_mut();
-        let table = tables.entry((from.0, to.0)).or_default();
-        codec.encode_request_into(msg_id, ctx, req, Some(table), &mut bytes)
-    };
-    if let Err(e) = encoded {
-        shared.wire_bufs.borrow_mut().put_back(from, to, bytes);
-        let end = shared.net.now().as_ns();
-        let mut spans = shared.spans.borrow_mut();
-        spans.end_span(exch, end, SpanOutcome::Fault);
-        shared.last_exchange_span.set(spans.span_id_of(exch));
-        return Err(VmError::Native(format!("request encode failed: {e}")));
-    }
-    shared
-        .spans
-        .borrow_mut()
-        .set_attr(exch, "bytes_out", bytes.len());
-    let policy = shared.retry.get();
-    let max_attempts = policy.max_attempts.max(1);
-    let mut attempt = 0u32;
-    let mut prev_attempt_span: Option<u64> = None;
-    let result = loop {
-        attempt += 1;
-        if attempt > 1 {
-            // Back off on the simulated clock before retransmitting, so the
-            // cost of fault tolerance is charged deterministically.
-            shared.net.advance(policy.backoff_ns(attempt - 1));
-            bump(shared, from.0, Met::Retries);
-        }
-        // Each transmission attempt is a child span: retransmissions get
-        // fresh span ids within the same trace and point at the attempt
-        // they retry via `retry_of`.
-        let attempt_start = shared.net.now().as_ns();
-        let att = {
-            let mut spans = shared.spans.borrow_mut();
-            let h = spans.start_span("rpc.attempt", from.0, attempt_start);
-            spans.set_attr(h, "attempt", attempt);
-            if let Some(prev) = prev_attempt_span {
-                spans.set_retry_of(h, prev);
-            }
-            h
-        };
-        match attempt_exchange(shared, from, to, codec, msg_id, &bytes, attempt) {
-            Ok((reply, obj_version)) => {
-                let end = shared.net.now().as_ns();
-                shared.obs.borrow_mut().record_attempts(from.0, attempt);
-                let outcome = reply_outcome(&reply);
-                let mut spans = shared.spans.borrow_mut();
-                spans.end_span(att, end, SpanOutcome::Ok);
-                spans.record_link(from.0, to.0, end.saturating_sub(attempt_start));
-                spans.set_attr(exch, "attempts", attempt);
-                spans.end_span(exch, end, outcome);
-                shared.last_exchange_span.set(spans.span_id_of(exch));
-                break Ok((reply, obj_version));
-            }
-            Err(kind) if kind.is_transient() && attempt < max_attempts => {
-                let end = shared.net.now().as_ns();
-                let mut spans = shared.spans.borrow_mut();
-                spans.end_span(att, end, SpanOutcome::NetFailure);
-                prev_attempt_span = Some(spans.span_id_of(att));
-                continue;
-            }
-            Err(kind) => {
-                let end = shared.net.now().as_ns();
-                {
-                    let mut obs = shared.obs.borrow_mut();
-                    obs.inc(from.0, Met::NetFailures);
-                    obs.record_attempts(from.0, attempt);
-                }
-                let mut spans = shared.spans.borrow_mut();
-                spans.end_span(att, end, SpanOutcome::NetFailure);
-                spans.set_attr(exch, "attempts", attempt);
-                spans.end_span(exch, end, SpanOutcome::NetFailure);
-                shared.last_exchange_span.set(spans.span_id_of(exch));
-                break Err(VmError::Unreachable(NetFailure::new(kind, attempt)));
-            }
-        }
-    };
-    shared.wire_bufs.borrow_mut().put_back(from, to, bytes);
-    result
-}
-
-/// One transmission attempt of an exchange: request over the wire, serve
-/// (with duplicate suppression), reply back over the wire.
-fn attempt_exchange(
-    shared: &Shared,
-    from: NodeId,
-    to: NodeId,
-    codec: &dyn Protocol,
-    msg_id: u64,
-    bytes: &[u8],
-    attempt: u32,
-) -> Result<(Reply, u64), NetFailureKind> {
-    shared
-        .net
-        .transmit(from, to, bytes.len())
-        .map_err(|e| net_failure_kind(&e))?;
-    // Zero-copy fast path: only the header is parsed here. Whether this
-    // attempt is a dedup hit (answered from the reply cache) is decided on
-    // the borrowed header alone; the owned request tree is built inside
-    // `serve_frame` only when the request is actually invoked.
-    let header = codec
-        .decode_request_header(bytes)
-        .expect("own encoding must decode");
-    debug_assert_eq!(header.msg_id, msg_id);
-    if attempt > 1 {
-        bump(shared, to.0, Met::Retransmits);
-    }
-    let (reply, reply_ctx, obj_version) = serve_frame(shared, to, from, &header);
-    let mut reply_bytes = shared.wire_bufs.borrow_mut().checkout(to, from);
-    let encoded = {
-        let mut tables = shared.sig_tables.borrow_mut();
-        let table = tables.entry((to.0, from.0)).or_default();
-        codec.encode_reply_into(
-            msg_id,
-            reply_ctx,
-            obj_version,
-            &reply,
-            Some(table),
-            &mut reply_bytes,
-        )
-    };
-    if let Err(e) = encoded {
-        // The reply itself cannot be framed (e.g. a >4 GiB string): answer
-        // a fault instead. The fallback is a short stateless frame, which
-        // cannot itself fail to encode.
-        let fault = Reply::Fault(format!("reply encode failed: {e}"));
-        reply_bytes.clear();
-        codec
-            .encode_reply_into(
-                msg_id,
-                reply_ctx,
-                obj_version,
-                &fault,
-                None,
-                &mut reply_bytes,
-            )
-            .expect("fault reply must encode");
-    }
-    if let Err(e) = shared.net.transmit(to, from, reply_bytes.len()) {
-        shared
-            .wire_bufs
-            .borrow_mut()
-            .put_back(to, from, reply_bytes);
-        return Err(net_failure_kind(&e));
-    }
-    shared.net.advance(2 * codec.overhead_ns());
-    let decoded = {
-        let mut tables = shared.sig_tables.borrow_mut();
-        let table = tables.entry((to.0, from.0)).or_default();
-        codec.decode_reply_with(&reply_bytes, Some(table))
-    };
-    let (_, _, obj_version, reply) = decoded.expect("own encoding must decode");
-    shared
-        .wire_bufs
-        .borrow_mut()
-        .put_back(to, from, reply_bytes);
-    Ok((reply, obj_version))
-}
-
-/// Serve a delivered request with at-most-once semantics: if this
-/// `(caller, message id)` was already answered, return the cached reply
-/// without re-executing — a retransmission must never apply a mutating
-/// method twice.
-///
-/// Records a `serve.*` span whose parent comes from the wire context, which
-/// is what stitches the hops of a multi-node chain into one trace. Returns
-/// the reply, the serve span's context, and the addressed export's current
-/// property version (0 for request kinds that address no export) — both of
-/// which ride back in the reply header.
-#[cfg_attr(not(test), allow(dead_code))] // production traffic arrives as frames (`serve_frame`)
-fn serve_request(
-    shared: &Shared,
-    node: NodeId,
-    caller: NodeId,
-    msg_id: u64,
-    ctx: TraceContext,
-    req: Request,
-) -> (Reply, TraceContext, u64) {
-    let kind = RequestKind::of(&req);
-    serve_core(shared, node, caller, msg_id, ctx, kind, move |_| Ok(req))
-}
-
-/// The `serve.*` span name of one request discriminant. Decodable from a
-/// borrowed frame header, so even a dedup-hit replay (which never builds
-/// the owned request) records a correctly named span.
-fn serve_span_name(kind: RequestKind) -> &'static str {
-    match kind {
-        RequestKind::Call => "serve.call",
-        RequestKind::Create => "serve.create",
-        RequestKind::Discover => "serve.discover",
-        RequestKind::Fetch => "serve.fetch",
-        RequestKind::Install => "serve.install",
-        RequestKind::Forward => "serve.forward",
-        RequestKind::ReplicaSync => "serve.replica",
-        RequestKind::Promote => "serve.promote",
-        RequestKind::Batch => "serve.batch",
-    }
-}
-
-/// Serve a delivered frame: the dedup decision is made on the borrowed
-/// header, and the owned request tree is only materialised (resolving
-/// signature references against the link's table) when the request is
-/// actually going to be invoked.
-fn serve_frame(
-    shared: &Shared,
-    node: NodeId,
-    caller: NodeId,
-    header: &FrameHeader<'_>,
-) -> (Reply, TraceContext, u64) {
-    serve_core(
-        shared,
-        node,
-        caller,
-        header.msg_id,
-        header.ctx,
-        header.kind,
-        |shared| {
-            let mut tables = shared.sig_tables.borrow_mut();
-            let table = tables.entry((caller.0, node.0)).or_default();
-            header
-                .materialise(Some(table))
-                .map_err(|e| format!("malformed request frame: {e}"))
-        },
-    )
-}
-
-fn serve_core(
-    shared: &Shared,
-    node: NodeId,
-    caller: NodeId,
-    msg_id: u64,
-    ctx: TraceContext,
-    kind: RequestKind,
-    materialise: impl FnOnce(&Shared) -> Result<Request, String>,
-) -> (Reply, TraceContext, u64) {
-    let serve_name = serve_span_name(kind);
-    let (span, reply_ctx) = {
-        let mut spans = shared.spans.borrow_mut();
-        let h = spans.start_server_span(serve_name, node.0, shared.net.now().as_ns(), ctx);
-        spans.set_attr(h, "caller", caller.0);
-        let reply_ctx = spans.context_of(h);
-        (h, reply_ctx)
-    };
-    let key = (caller.0, msg_id);
-    let cached = shared.nodes.borrow()[node.0 as usize]
-        .reply_cache
-        .get(&key)
-        .cloned();
-    if let Some((reply, obj_version)) = cached {
-        // A dedup hit replays the *stored* version, not the current one:
-        // the object may have moved on since the original serve, and a
-        // reply tagged with the newer version would let the client cache
-        // the old value as if it were fresh — serving a stale read until
-        // the next mutation. Note the request payload was never
-        // materialised on this path — the decision used the header alone.
-        bump(shared, node.0, Met::DedupHits);
-        {
-            let mut spans = shared.spans.borrow_mut();
-            spans.set_attr(span, "cached", true);
-            spans.end_span(span, shared.net.now().as_ns(), reply_outcome(&reply));
-        }
-        if monitors_on(shared) {
-            shared.obs.borrow_mut().emit(&MonitorEvent::Execution {
-                node: node.0,
-                caller: caller.0,
-                msg_id,
-                replay: true,
-                span_id: reply_ctx.span_id,
-                trace_id: reply_ctx.trace_id,
-            });
-        }
-        return (reply, reply_ctx, obj_version);
-    }
-    let req = match materialise(shared) {
-        Ok(req) => req,
-        Err(m) => {
-            // The frame identified itself well enough to route but its
-            // payload is malformed: answer a fault (not cached — a
-            // retransmission carries the same bytes and faults the same
-            // way, so caching would only occupy a dedup slot).
-            bump(shared, node.0, Met::Faults);
-            let reply = Reply::Fault(m);
-            shared.spans.borrow_mut().end_span(
-                span,
-                shared.net.now().as_ns(),
-                reply_outcome(&reply),
-            );
-            return (reply, reply_ctx, 0);
-        }
-    };
-    if let Request::Batch(ops) = &req {
-        shared.spans.borrow_mut().set_attr(span, "n_ops", ops.len());
-    }
-    let (reply, obj_version) = handle_request(shared, node, caller, req);
-    if monitors_on(shared) {
-        shared.obs.borrow_mut().emit(&MonitorEvent::Execution {
-            node: node.0,
-            caller: caller.0,
-            msg_id,
-            replay: false,
-            span_id: reply_ctx.span_id,
-            trace_id: reply_ctx.trace_id,
-        });
-    }
-    {
-        let mut nodes = shared.nodes.borrow_mut();
-        let state = &mut nodes[node.0 as usize];
-        if state
-            .reply_cache
-            .insert(key, (reply.clone(), obj_version))
-            .is_none()
-        {
-            state.reply_cache_order.push_back(key);
-            while state.reply_cache_order.len() > REPLY_CACHE_CAP {
-                if let Some(old) = state.reply_cache_order.pop_front() {
-                    state.reply_cache.remove(&old);
-                }
-            }
-        }
-    }
-    shared
-        .spans
-        .borrow_mut()
-        .end_span(span, shared.net.now().as_ns(), reply_outcome(&reply));
-    (reply, reply_ctx, obj_version)
-}
-
-/// Span outcome of a served reply. A batch is `Ok` only if every batched
-/// operation succeeded.
-fn reply_outcome(reply: &Reply) -> SpanOutcome {
-    match reply {
-        Reply::Value(_) => SpanOutcome::Ok,
-        Reply::Exception { .. } | Reply::Fault(_) => SpanOutcome::Fault,
-        Reply::Batch(results) => {
-            if results.iter().any(|(_, r)| !matches!(r, Reply::Value(_))) {
-                SpanOutcome::Fault
-            } else {
-                SpanOutcome::Ok
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Server side
-// ----------------------------------------------------------------------
-
-/// Execute a request on `node` (the server side of the RPC). Returns the
-/// reply and the property version it piggybacks: the addressed export's,
-/// read *after* handling so a setter's own reply carries the bumped
-/// version, or 0 for requests that address no export.
-fn handle_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -> (Reply, u64) {
-    let versioned_oid = match &req {
-        Request::Call { object, .. } | Request::Fetch { object } => Some(*object),
-        _ => None,
-    };
-    let reply = dispatch_request(shared, node, caller, req);
-    if matches!(reply, Reply::Fault(_)) {
-        bump(shared, node.0, Met::Faults);
-    }
-    let version = versioned_oid.map_or(0, |oid| shared.dir.borrow().version((node.0, oid)));
-    (reply, version)
-}
-
-fn dispatch_request(shared: &Shared, node: NodeId, caller: NodeId, req: Request) -> Reply {
-    let vm = &shared.vms[node.0 as usize];
-    match req {
-        Request::Call {
-            object,
-            method,
-            args,
-        } => {
-            bump(shared, node.0, Met::RpcCalls);
-            let Some(h) = lookup_export(shared, node, object) else {
-                return Reply::Fault(format!("unknown object {object} on {node}"));
-            };
-            // Affinity is only meaningful where the object actually lives.
-            // A forwarding proxy left behind by a migration serves nothing
-            // itself; counting its forwarded traffic would hand the
-            // adaptation loops a moved-away location to act on.
-            let locally_implemented = vm
-                .class_of(h)
-                .and_then(|c| shared.gen_info.get(&c))
-                .is_some_and(|info| info.proto.is_none());
-            if locally_implemented {
-                let mut nodes = shared.nodes.borrow_mut();
-                *nodes[node.0 as usize]
-                    .call_counts
-                    .entry(object)
-                    .or_default()
-                    .entry(caller.0)
-                    .or_default() += 1;
-            }
-            let Some(sig) = parse_method(&method) else {
-                return Reply::Fault(format!("malformed method {method}"));
-            };
-            // Anything other than a property getter may mutate the object
-            // (setters, init$k, arbitrary methods), so it bumps the property
-            // version and invalidates every proxy-side cached read. Objects
-            // whose class cannot be resolved bump conservatively.
-            let is_getter = vm
-                .class_of(h)
-                .and_then(|c| shared.gen_info.get(&c))
-                .and_then(|info| shared.plan.family(info.base).map(|f| (f, info.side)))
-                .is_some_and(|(f, side)| match side {
-                    Side::Obj => f.getters.contains(&sig),
-                    Side::Cls => f.static_getters.contains(&sig),
-                });
-            if !is_getter {
-                bump_version(shared, node.0, object);
-            }
-            let values = match marshal::wire_to_values(shared, node, &args) {
-                Ok(values) => values,
-                Err(m) => return Reply::Fault(m),
-            };
-            let reply = match vm.call_virtual(Value::Ref(h), sig, values) {
-                Ok(v) => match marshal::value_to_wire(shared, node, &v) {
-                    Ok(wv) => Reply::Value(wv),
-                    Err(m) => Reply::Fault(m),
-                },
-                Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
-                Err(other) => Reply::Fault(other.to_string()),
-            };
-            // Anything that may have mutated the object re-ships it to its
-            // backups before the reply leaves, so a replica promoted after
-            // a later crash holds every mutation this owner acknowledged.
-            if !is_getter {
-                sync_replicas(shared, node, object);
-            }
-            reply
-        }
-        Request::Create { class, .. } => {
-            bump(shared, node.0, Met::RpcCreates);
-            let Some(base) = shared.universe.by_name(&class) else {
-                return Reply::Fault(format!("unknown class {class}"));
-            };
-            let Some(family) = shared.plan.family(base).cloned() else {
-                return Reply::Fault(format!("{class} is not substitutable"));
-            };
-            if family.has_statics {
-                if let Err(e) = discover_value(shared, node, base) {
-                    return Reply::Fault(e.to_string());
-                }
-            }
-            let h = default_instance(shared, node, family.obj_local);
-            let oid = export(shared, node, h);
-            // Replicate the freshly created object at once: an owner that
-            // crashes before serving any call must not take it along.
-            sync_replicas(shared, node, oid);
-            Reply::Value(WireValue::Remote {
-                node: node.0,
-                object: oid,
-                class: shared.universe.class(family.obj_local).name.clone(),
-            })
-        }
-        Request::Discover { class } => {
-            bump(shared, node.0, Met::RpcDiscovers);
-            let Some(base) = shared.universe.by_name(&class) else {
-                return Reply::Fault(format!("unknown class {class}"));
-            };
-            match discover_value(shared, node, base) {
-                Ok(Value::Ref(h)) => {
-                    let rt_class = vm.class_of(h).expect("live singleton");
-                    // The stale-promotion guard may have resolved to a
-                    // *proxy* for a copy promoted onto another node. Reply
-                    // with the copy's real location instead of exporting
-                    // the proxy, which would add a pointless double hop
-                    // (and re-anchor the singleton to this node).
-                    let is_proxy = shared
-                        .gen_info
-                        .get(&rt_class)
-                        .is_some_and(|i| i.proto.is_some());
-                    if is_proxy {
-                        let promoted =
-                            read_proxy_state(vm, h).and_then(|loc| remote_at(shared, loc));
-                        let Some(remote) = promoted else {
-                            return Reply::Fault(format!("promoted singleton of {class} vanished"));
-                        };
-                        return Reply::Value(remote);
-                    }
-                    let oid = export(shared, node, h);
-                    // Record the canonical export the first time the
-                    // singleton becomes remotely visible; singleton
-                    // resolution follows the directory's links from here.
-                    shared
-                        .dir
-                        .borrow_mut()
-                        .register_singleton(&class, (node.0, oid));
-                    sync_replicas(shared, node, oid);
-                    Reply::Value(WireValue::Remote {
-                        node: node.0,
-                        object: oid,
-                        class: shared.universe.class(rt_class).name.clone(),
-                    })
-                }
-                Ok(other) => Reply::Fault(format!("discover returned {other}")),
-                Err(VmError::Exception(exc)) => exception_reply(shared, node, exc),
-                Err(e) => Reply::Fault(e.to_string()),
-            }
-        }
-        Request::Fetch { object } => {
-            bump(shared, node.0, Met::RpcFetches);
-            let Some(h) = lookup_export(shared, node, object) else {
-                return Reply::Fault(format!("unknown object {object} on {node}"));
-            };
-            let Some((class, fields)) = vm.read_object(h) else {
-                return Reply::Fault("stale export".into());
-            };
-            let wire_fields = match marshal::values_to_wire(shared, node, &fields) {
-                Ok(wire_fields) => wire_fields,
-                Err(m) => return Reply::Fault(m),
-            };
-            Reply::Value(WireValue::ObjectState {
-                class: shared.universe.class(class).name.clone(),
-                fields: wire_fields,
-            })
-        }
-        Request::Install { state, source } => {
-            bump(shared, node.0, Met::RpcInstalls);
-            let WireValue::ObjectState { class, fields } = state else {
-                return Reply::Fault("install needs object state".into());
-            };
-            let h = match materialise(shared, node, &class, &fields, source) {
-                Ok(h) => h,
-                Err(m) => return Reply::Fault(m),
-            };
-            let oid = export(shared, node, h);
-            // Freshly installed state supersedes anything cached about a
-            // previous export under this id.
-            bump_version(shared, node.0, oid);
-            sync_replicas(shared, node, oid);
-            Reply::Value(WireValue::Remote {
-                node: node.0,
-                object: oid,
-                class,
-            })
-        }
-        Request::Forward {
-            object,
-            to_node,
-            to_object,
-        } => {
-            bump(shared, node.0, Met::RpcForwards);
-            let Some(h) = lookup_export(shared, node, object) else {
-                return Reply::Fault(format!("unknown object {object} on {node}"));
-            };
-            let Some(class) = vm.class_of(h) else {
-                return Reply::Fault("stale export".into());
-            };
-            let Some(info) = shared.gen_info.get(&class).cloned() else {
-                return Reply::Fault("cannot forward untransformed object".into());
-            };
-            let base_name = shared.universe.class(info.base).name.clone();
-            let proto = shared.policy.protocol(&base_name);
-            let Some(proxy_class) = proxy_class_for(shared, info.base, info.side, &proto) else {
-                return Reply::Fault(format!("no {proto} proxy for {base_name}"));
-            };
-            vm.replace_object(
-                h,
-                proxy_class,
-                vec![Value::Int(to_node as i32), Value::Long(to_object as i64)],
-            );
-            cache_import(shared, node, to_node, to_object, h);
-            // The export now forwards; reads through this location must
-            // never be served from a cache again, and the location moves
-            // to the forwards side-table so the sweep stops probing it.
-            shared.dir.borrow_mut().tombstone((node.0, object));
-            demote_export_to_forward(shared, node.0, object);
-            Reply::Value(WireValue::Null)
-        }
-        Request::ReplicaSync {
-            object,
-            version,
-            state,
-        } => {
-            bump(shared, node.0, Met::ReplicaSyncs);
-            let WireValue::ObjectState { class, fields } = state else {
-                return Reply::Fault("replica sync needs object state".into());
-            };
-            // The state stays in wire form until promotion: a backup that
-            // never promotes allocates nothing on its heap.
-            shared.nodes.borrow_mut()[node.0 as usize]
-                .replica_store
-                .insert((caller.0, object), (version, class, fields));
-            Reply::Value(WireValue::Null)
-        }
-        Request::Promote {
-            node: old_node,
-            object: old_object,
-        } => {
-            let key = (old_node, old_object);
-            // Idempotency: if this object was already promoted, report the
-            // recorded home instead of materialising a second copy from a
-            // (possibly stale) backup. The directory stands in for the
-            // promotion registry a real system would replicate alongside
-            // the data.
-            let recorded = shared.dir.borrow().successor(key);
-            if let Some(home) = recorded {
-                return match remote_at(shared, home) {
-                    Some(remote) => Reply::Value(remote),
-                    None => {
-                        Reply::Fault(format!("promoted copy of {old_node}#{old_object} vanished"))
-                    }
-                };
-            }
-            let entry = shared.nodes.borrow_mut()[node.0 as usize]
-                .replica_store
-                .remove(&key);
-            let Some((_, class, fields)) = entry else {
-                return Reply::Fault(format!("no replica of {old_node}#{old_object} on {node}"));
-            };
-            let h = match materialise(shared, node, &class, &fields, Some(key)) {
-                Ok(h) => h,
-                Err(m) => return Reply::Fault(m),
-            };
-            let oid = export(shared, node, h);
-            // The promoted copy supersedes anything cached about either
-            // location: bump the new home, tombstone the dead one, and drop
-            // affinity data describing traffic the object received there.
-            bump_version(shared, node.0, oid);
-            shared.dir.borrow_mut().moved(key, (node.0, oid));
-            purge_call_counts(shared, &[key, (node.0, oid)]);
-            bump(shared, node.0, Met::Promotions);
-            // Re-establish the replication factor from the new home, so a
-            // second crash before the next mutation still loses nothing.
-            sync_replicas(shared, node, oid);
-            Reply::Value(WireValue::Remote {
-                node: node.0,
-                object: oid,
-                class,
-            })
-        }
-        Request::Batch(ops) => {
-            // Apply in order under the enclosing message id: the batch was
-            // encoded once and is retransmitted verbatim, so at-most-once
-            // holds for the whole frame, and each operation's sub-reply is
-            // paired with the addressed export's version right after it ran
-            // (a later op in the same batch may move it again).
-            let mut results = Vec::with_capacity(ops.len());
-            for op in ops {
-                let (reply, version) = handle_request(shared, node, caller, op);
-                results.push((version, reply));
-            }
-            Reply::Batch(results)
-        }
-    }
-}
-
-/// Materialise an installed or promoted object on `node` from its wire
-/// state. A proxy the node already holds for its previous location `was`
-/// is rewritten in place, so existing local references see the object as
-/// local, with no double hop through the old owner; otherwise the object
-/// is freshly allocated.
-fn materialise(
-    shared: &Shared,
-    node: NodeId,
-    class: &str,
-    fields: &[WireValue],
-    was: Option<Loc>,
-) -> Result<Handle, String> {
-    let class_id = shared
-        .universe
-        .by_name(class)
-        .ok_or_else(|| format!("unknown class {class}"))?;
-    let values = marshal::wire_to_values(shared, node, fields)?;
-    let vm = &shared.vms[node.0 as usize];
-    Ok(
-        match was.and_then(|(n, o)| cached_import(shared, node, n, o)) {
-            Some(ph) if vm.class_of(ph).is_some() => {
-                vm.replace_object(ph, class_id, values);
-                ph
-            }
-            _ => vm.alloc_raw(class_id, values),
-        },
-    )
-}
-
-fn exception_reply(shared: &Shared, node: NodeId, exc: Handle) -> Reply {
-    let vm = &shared.vms[node.0 as usize];
-    let Some((class, fields)) = vm.read_object(exc) else {
-        return Reply::Fault("stale exception".into());
-    };
-    let wire_fields = match marshal::values_to_wire(shared, node, &fields) {
-        Ok(wire_fields) => wire_fields,
-        Err(m) => return Reply::Fault(m),
-    };
-    Reply::Exception {
-        class: shared.universe.class(class).name.clone(),
-        fields: wire_fields,
-    }
-}
-
-// ----------------------------------------------------------------------
-// Observability plane
-// ----------------------------------------------------------------------
-
-/// Bump one runtime counter, charged to `node`. The single write path for
-/// every [`RuntimeStats`] counter.
-pub(crate) fn bump(shared: &Shared, node: u32, met: Met) {
-    shared.obs.borrow_mut().inc(node, met);
-}
-
-/// Whether the invariant monitors are enabled (events are only assembled
-/// when someone is listening).
-fn monitors_on(shared: &Shared) -> bool {
-    shared.obs.borrow().monitors.is_some()
-}
-
-/// This node's share of the wire-layer counters: signature interning
-/// refs/defs and encode-buffer reuses on links it is the sender of (the
-/// sender owns the encode state, so the work is charged to it).
-fn per_node_wire(shared: &Shared, node: u32) -> (u64, u64, u64) {
-    let tables = shared.sig_tables.borrow();
-    let (mut refs, mut defs) = (0, 0);
-    for ((from, _), table) in tables.iter() {
-        if *from == node {
-            refs += table.refs();
-            defs += table.defs();
-        }
-    }
-    let reuses = shared.wire_bufs.borrow().reuses_from(NodeId(node));
-    (refs, defs, reuses)
-}
-
-/// One node's [`RuntimeStats`] view: the registry snapshot plus its share
-/// of the wire-layer counters.
-pub(crate) fn node_stats_of(shared: &Shared, node: u32) -> RuntimeStats {
-    let mut stats = shared.obs.borrow().snapshot(node as usize);
-    let (refs, defs, reuses) = per_node_wire(shared, node);
-    stats.sig_refs = refs;
-    stats.sig_defs = defs;
-    stats.wire_buf_reuses = reuses;
-    stats
-}
-
-/// The cluster-wide view: every node's breakdown folded with
-/// [`RuntimeStats::merge`].
-pub(crate) fn merged_stats(shared: &Shared) -> RuntimeStats {
-    let mut total = RuntimeStats::default();
-    for node in 0..shared.vms.len() as u32 {
-        total.merge(&node_stats_of(shared, node));
-    }
-    total
-}
-
-/// The names of the wire-layer counters appended to both exports, in the
-/// order of the [`per_node_wire`] tuple.
-const WIRE_METRIC_NAMES: [&str; 3] = [
-    "rafda_sig_refs_total",
-    "rafda_sig_defs_total",
-    "rafda_wire_buf_reuses_total",
-];
-
-/// Prometheus text exposition of the registry plus the per-node wire
-/// counters.
-pub(crate) fn prometheus_text_of(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let mut out = shared.obs.borrow().reg.prometheus_text();
-    let wire: Vec<[u64; 3]> = (0..shared.vms.len() as u32)
-        .map(|n| {
-            let (refs, defs, reuses) = per_node_wire(shared, n);
-            [refs, defs, reuses]
-        })
-        .collect();
-    for (k, name) in WIRE_METRIC_NAMES.iter().enumerate() {
-        let _ = writeln!(out, "# TYPE {name} counter");
-        for (node, row) in wire.iter().enumerate() {
-            let _ = writeln!(out, "{name}{{node=\"{node}\"}} {}", row[k]);
-        }
-    }
-    out
-}
-
-/// JSON-lines export: registry metrics, per-node wire counters and the
-/// time-series rings, one object per line.
-pub(crate) fn metrics_json_of(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let obs = shared.obs.borrow();
-    let mut out = obs.reg.json_lines();
-    let wire: Vec<[u64; 3]> = (0..shared.vms.len() as u32)
-        .map(|n| {
-            let (refs, defs, reuses) = per_node_wire(shared, n);
-            [refs, defs, reuses]
-        })
-        .collect();
-    for (k, name) in WIRE_METRIC_NAMES.iter().enumerate() {
-        for (node, row) in wire.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{{\"name\":\"{name}\",\"type\":\"counter\",\"labels\":{{\"node\":\"{node}\"}},\"value\":{}}}",
-                row[k]
-            );
-        }
-    }
-    out.push_str(&obs.recorder.json_lines());
-    out
-}
-
-/// Sample the time-series rings if the simulated clock has crossed a
-/// sampling grid point. Called at the head of every top-level exchange,
-/// *before* the outcall queues flush, so queue-depth readings see the
-/// pending work. Pure read of runtime state — never advances the clock or
-/// mutates anything the application can observe.
-pub(crate) fn maybe_sample(shared: &Shared) {
-    let now = shared.net.now().as_ns();
-    let Some(stamp) = shared.obs.borrow().recorder.due(now) else {
-        return;
-    };
-    let (depth, inflight) = {
-        let queues = shared.outqueues.borrow();
-        let ops: usize = queues.values().map(|p| p.ops.len()).sum();
-        (queues.len() as f64, ops as f64)
-    };
-    let lag = {
-        let nodes = shared.nodes.borrow();
-        let dir = shared.dir.borrow();
-        let mut lag = 0u64;
-        for (owner, state) in nodes.iter().enumerate() {
-            for (&oid, &(synced, _)) in &state.synced_versions {
-                let current = dir.live_version((owner as u32, oid));
-                if current.is_some_and(|v| v != synced) {
-                    lag += 1;
-                }
-            }
-        }
-        lag as f64
-    };
-    // Shard balance: max / mean recorded members per node over the shard
-    // map. 1.0 means perfectly even, growing with skew; 0 when no class is
-    // sharded (or nothing has been placed yet).
-    let balance = {
-        let shards = shared.shards.borrow();
-        let mut per_node = vec![0u64; shared.vms.len()];
-        for members in shards.members.values() {
-            for &(n, _) in members {
-                per_node[n as usize] += 1;
-            }
-        }
-        let total: u64 = per_node.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            let mean = total as f64 / per_node.len() as f64;
-            per_node.iter().max().copied().unwrap_or(0) as f64 / mean
-        }
-    };
-    let dirty_depth = shared.dirty.borrow().len() as f64;
-    let mut obs = shared.obs.borrow_mut();
-    let hits = obs.sum(Met::CacheHits);
-    let misses = obs.sum(Met::CacheMisses);
-    let hit_rate = if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    };
-    obs.recorder.advance(stamp);
-    let (q, i, c, r, s, d) = (
-        obs.ts_queue_depth,
-        obs.ts_inflight_ops,
-        obs.ts_cache_hit_rate,
-        obs.ts_replica_lag,
-        obs.ts_shard_balance,
-        obs.ts_dirty_set_depth,
-    );
-    obs.recorder.record(q, stamp, depth);
-    obs.recorder.record(i, stamp, inflight);
-    obs.recorder.record(c, stamp, hit_rate);
-    obs.recorder.record(r, stamp, lag);
-    obs.recorder.record(s, stamp, balance);
-    obs.recorder.record(d, stamp, dirty_depth);
-}
-
-/// Compare every backup's stored replica against its primary's live state
-/// at a quiescent point, yielding one [`MonitorEvent::ReplicaProbe`] per
-/// comparable pair. Read-only: the probe never marshals (marshalling a
-/// reference would create exports) — reference-typed fields are skipped
-/// and only primitive state is deep-compared.
-fn collect_replica_probes(shared: &Shared) -> Vec<MonitorEvent> {
-    let mut probes = Vec::new();
-    let nodes = shared.nodes.borrow();
-    for (backup, state) in nodes.iter().enumerate() {
-        let mut keys: Vec<(u32, u64)> = state.replica_store.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let (backup_version, class_name, fields) = &state.replica_store[&key];
-            let (owner, oid) = key;
-            let Some(owner_version) = shared.dir.borrow().live_version((owner, oid)) else {
-                // The object migrated away; the replica describes a dead
-                // location and will be superseded by the new home's syncs.
-                continue;
-            };
-            let Some(h) = nodes[owner as usize].exports.get(&oid).copied() else {
-                // Owner restarted with amnesia; nothing to compare until
-                // the next sync re-seeds the backup.
-                continue;
-            };
-            let vm = &shared.vms[owner as usize];
-            let Some((class, values)) = vm.read_object(h) else {
-                continue;
-            };
-            match shared.gen_info.get(&class) {
-                Some(info) if info.proto.is_none() => {}
-                // The export forwards (or is untransformed): the primary's
-                // authoritative copy lives elsewhere now.
-                _ => continue,
-            }
-            let state_matches = if *backup_version == owner_version {
-                *class_name == shared.universe.class(class).name
-                    && wire_state_matches(&values, fields)
-            } else {
-                // Different versions are never comparable — the version
-                // relation itself is judged by the monitor.
-                true
-            };
-            probes.push(MonitorEvent::ReplicaProbe {
-                owner,
-                oid,
-                backup: backup as u32,
-                owner_version,
-                backup_version: *backup_version,
-                state_matches,
-            });
-        }
-    }
-    probes
-}
-
-/// The policy table as served by `rafda.Introspection`: one line per
-/// substitutable class, sorted by name, with every policy decision the
-/// runtime consults for it.
-pub(crate) fn policy_table(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let mut names: Vec<&str> = shared
-        .plan
-        .families
-        .keys()
-        .map(|&b| shared.universe.class(b).name.as_str())
-        .collect();
-    names.sort_unstable();
-    let mut out = String::new();
-    for name in names {
-        let p = &shared.policy;
-        let shard = p
-            .shard_spec(name)
-            .map(|s| format!("{} mod {}", s.key_getter, s.modulo))
-            .unwrap_or_else(|| "-".into());
-        let _ = writeln!(
-            out,
-            "{name}: protocol={} statics=node{} cacheable={} replicas={} batched={} shard={} replica_reads={}",
-            p.protocol(name),
-            p.statics_node(name).0,
-            p.cacheable(name),
-            p.replicas(name),
-            p.batched(name),
-            shard,
-            p.reads_from_replicas(name)
-        );
-    }
-    out
-}
-
-/// The placement map as served by `rafda.Introspection`: each node's
-/// exports (sorted by id) with the implementation class currently behind
-/// them — forwarding proxies included, so a migration's trail is visible.
-pub(crate) fn placement_table(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let nodes = shared.nodes.borrow();
-    for (i, state) in nodes.iter().enumerate() {
-        // Live exports plus demoted forwarding stubs: demotion is a sweep
-        // optimisation, not a visibility change, so the table keeps
-        // showing a migration's trail at the old home.
-        let mut oids: Vec<u64> = state
-            .exports
-            .keys()
-            .chain(state.forwards.keys())
-            .copied()
-            .collect();
-        oids.sort_unstable();
-        let entries: Vec<String> = oids
-            .iter()
-            .map(|oid| {
-                let h = state.exports.get(oid).or_else(|| state.forwards.get(oid));
-                let class = h
-                    .and_then(|&h| shared.vms[i].class_of(h))
-                    .map(|c| shared.universe.class(c).name.clone())
-                    .unwrap_or_else(|| "?".to_owned());
-                format!("{oid}:{class}")
-            })
-            .collect();
-        let _ = writeln!(out, "node{i}: [{}]", entries.join(", "));
-    }
-    out
-}
-
-/// Field-wise comparison of live values against marshalled replica state.
-/// Primitives compare exactly (floats bit-wise); reference-typed fields
-/// are not comparable without marshalling side effects and pass.
-fn wire_state_matches(values: &[Value], wire: &[WireValue]) -> bool {
-    values.len() == wire.len()
-        && values.iter().zip(wire).all(|(v, w)| match (v, w) {
-            (Value::Bool(a), WireValue::Bool(b)) => a == b,
-            (Value::Int(a), WireValue::Int(b)) => a == b,
-            (Value::Long(a), WireValue::Long(b)) => a == b,
-            (Value::Float(a), WireValue::Float(b)) => a.to_bits() == b.to_bits(),
-            (Value::Double(a), WireValue::Double(b)) => a.to_bits() == b.to_bits(),
-            (Value::Str(a), WireValue::Str(b)) => a.as_ref() == b.as_str(),
-            (Value::Null, WireValue::Null) => true,
-            _ => true,
-        })
-}
-
-/// Methods travel as `name@sigid`; both sides share the interned signature
-/// table (the same transformed program is deployed on every node).
-fn parse_method(method: &str) -> Option<SigId> {
-    let (_, id) = method.rsplit_once('@')?;
-    id.parse::<u32>().ok().map(SigId)
-}
-
-/// Mark that a class is any generated implementation or proxy.
-pub(crate) fn gen_info(shared: &Shared, class: ClassId) -> Option<&GenInfo> {
-    shared.gen_info.get(&class)
-}
-
+/// The runtime's unit tests live next to the state they inspect; each one
+/// is registered here, under the name it has always had.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rafda_classmodel::builder::{ClassBuilder, MethodBuilder};
-    use rafda_classmodel::{ClassKind, Field};
-    use rafda_policy::{Placement, StaticPolicy};
+    use rafda_classmodel::{ClassKind, Field, Ty};
+    use rafda_policy::{AffinityConfig, StaticPolicy};
     use rafda_transform::Transformer;
 
     /// A cluster of two nodes running `class C { int v; int add(int d) }`
-    /// with all instances placed (remotely) on node 1.
-    fn deployed(policy: StaticPolicy) -> (Cluster, ClassId) {
+    /// under `policy`.
+    pub(crate) fn deployed(policy: StaticPolicy) -> (Cluster, ClassId) {
         let mut u = ClassUniverse::new();
         let c = u.declare("C", ClassKind::Class);
         {
@@ -4553,277 +1120,10 @@ mod tests {
         (cluster, c)
     }
 
-    /// Regression for the stale-version dedup bug: a dedup hit must replay
-    /// the object version stored **at serve time**, not recompute it at
-    /// retransmit time. The single-threaded simulation cannot interleave a
-    /// foreign mutation between a dropped reply and its retransmission from
-    /// the outside, so the scenario drives `serve_request` directly —
-    /// exactly what a lossy network would deliver to the server.
-    #[test]
-    fn dedup_hit_replays_the_serve_time_version() {
-        let policy = StaticPolicy::new()
-            .place("C", Placement::Node(NodeId(1)))
-            .cache("C", true);
-        let (cluster, base) = deployed(policy);
-        let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
-        let shared = cluster.shared();
-        let h = obj.as_ref_handle().unwrap();
-        let (owner, oid) = read_proxy_state(&shared.vms[0], h).unwrap();
-        assert_eq!(owner, 1, "policy must place the object remotely");
-        let get_sig = shared.plan.family(base).unwrap().getters[0];
-        let add_sig = shared
-            .universe
-            .class(base)
-            .methods
-            .iter()
-            .find(|m| m.name == "add")
-            .unwrap()
-            .sig;
-        let read = Request::Call {
-            object: oid,
-            method: format!("get_v@{}", get_sig.0),
-            args: vec![],
-        };
-        // Message 900: a cacheable read is served, but the reply is lost on
-        // the way back.
-        let (r1, _, v1) = serve_request(
-            shared,
-            NodeId(1),
-            NodeId(0),
-            900,
-            TraceContext::NONE,
-            read.clone(),
-        );
-        assert!(matches!(r1, Reply::Value(_)));
-        // Before the retransmission arrives, another mutation is served and
-        // bumps the object's version.
-        let (r2, _, _) = serve_request(
-            shared,
-            NodeId(1),
-            NodeId(0),
-            901,
-            TraceContext::NONE,
-            Request::Call {
-                object: oid,
-                method: format!("add@{}", add_sig.0),
-                args: vec![WireValue::Int(5)],
-            },
-        );
-        assert!(matches!(r2, Reply::Value(_)));
-        let current = shared.dir.borrow().version((1, oid));
-        assert!(current > v1, "the mutation must bump the version");
-        // The retransmission of 900 dedups. Its reply must carry v1: tagged
-        // with `current`, the client would cache the pre-mutation value as
-        // fresh and serve the stale read until the next mutation.
-        let (r3, _, v3) =
-            serve_request(shared, NodeId(1), NodeId(0), 900, TraceContext::NONE, read);
-        assert_eq!(r3, r1, "dedup must replay the original reply");
-        assert_eq!(cluster.stats().dedup_hits, 1);
-        assert_eq!(
-            v3, v1,
-            "dedup hit must replay the serve-time version, not the current one"
-        );
-        assert_ne!(v3, current);
-    }
-
-    /// Batched invocation basics, below the integration level: void calls
-    /// on a `batch on` class defer, queued replica shipments of the same
-    /// export coalesce, and a value-returning call flushes everything in
-    /// one exchange per queue.
-    #[test]
-    fn deferred_ops_flush_at_a_value_returning_call() {
-        let policy = StaticPolicy::new()
-            .place("C", Placement::Node(NodeId(1)))
-            .batch("C", true);
-        let (cluster, base) = deployed(policy);
-        let _ = base;
-        let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
-        // The generated setter returns void: deferred, not sent.
-        let r = cluster
-            .call_method(NodeId(0), obj.clone(), "set_v", vec![Value::Int(4)])
-            .unwrap();
-        assert_eq!(r, Value::Null);
-        assert_eq!(cluster.shared().outqueues.borrow().len(), 1);
-        let before = cluster.stats();
-        assert_eq!(before.batched_ops, 1);
-        assert_eq!(before.flushes, 0);
-        // A value-returning call is a synchronization point: the deferred
-        // setter lands first (in order), then the read runs.
-        let v = cluster
-            .call_method(NodeId(0), obj, "get_v", vec![])
-            .unwrap();
-        assert_eq!(v, Value::Int(4), "the flushed write must be visible");
-        let after = cluster.stats();
-        assert_eq!(after.flushes, 1);
-        assert!(cluster.shared().outqueues.borrow().is_empty());
-    }
-
-    /// The zero-copy wire path at the runtime level: a repeated call sends
-    /// fewer bytes than its first occurrence (the method signature shrank
-    /// to an interned reference), encode buffers are recycled per link, and
-    /// the merged stats expose all three wire counters.
-    #[test]
-    fn repeat_calls_intern_signatures_and_reuse_buffers() {
-        let policy = StaticPolicy::new().place("C", Placement::Node(NodeId(1)));
-        let (cluster, _) = deployed(policy);
-        let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
-        let net = cluster.network();
-        let t0 = net.stats().bytes;
-        cluster
-            .call_method(NodeId(0), obj.clone(), "add", vec![Value::Int(1)])
-            .unwrap();
-        let first = net.stats().bytes - t0;
-        let t1 = net.stats().bytes;
-        cluster
-            .call_method(NodeId(0), obj, "add", vec![Value::Int(1)])
-            .unwrap();
-        let second = net.stats().bytes - t1;
-        assert!(
-            second < first,
-            "an interned repeat call must be smaller on the wire: {second} >= {first}"
-        );
-        let stats = cluster.stats();
-        assert!(stats.sig_defs > 0, "first frames define signatures");
-        assert!(stats.sig_refs > 0, "repeat frames reference them");
-        assert!(
-            stats.wire_buf_reuses > 0,
-            "second exchange on a link must reuse its encode buffers"
-        );
-    }
-
-    /// Regression for a lost-update hazard the replica-divergence monitor
-    /// exposed: when a caller promotes a backup *onto itself*, [`failover`]
-    /// materialises the object in the caller's own VM, and every later call
-    /// on it is a plain local invocation — no serve, no version bump, no
-    /// [`sync_replicas`]. Before the dirty-replica sweep, the backups froze
-    /// at the promotion-time state forever, so a second crash would have
-    /// resurrected stale state. The sweep at the next exchange must bump
-    /// the version and re-ship the drifted state.
-    #[test]
-    fn local_mutations_after_self_promotion_reach_the_backups() {
-        let mut u = ClassUniverse::new();
-        for name in ["CA", "CB"] {
-            let c = u.declare(name, ClassKind::Class);
-            let mut cb = ClassBuilder::new(&u, c);
-            let v = cb.field(Field::new("v", Ty::Int));
-            let mut mb = MethodBuilder::new(1);
-            mb.ret();
-            cb.ctor(&mut u, vec![], Some(mb.finish()));
-            let mut mb = MethodBuilder::new(2);
-            mb.load_this();
-            mb.load_this().get_field(c, v);
-            mb.load_local(1).add();
-            mb.put_field(c, v);
-            mb.load_this().get_field(c, v).ret_value();
-            cb.method(&mut u, "add", vec![Ty::Int], Ty::Int, Some(mb.finish()));
-            cb.finish(&mut u);
-        }
-        let outcome = Transformer::new().protocols(&["RMI"]).run(&mut u).unwrap();
-        let policy = StaticPolicy::new()
-            .place("CA", Placement::Node(NodeId(1)))
-            .place("CB", Placement::Node(NodeId(2)))
-            .replicate("CA", 1)
-            .replicate("CB", 1);
-        let cluster = Cluster::new(u, outcome.plan, 3, 260, Box::new(policy));
-        cluster.enable_monitors();
-        let a = cluster.new_instance(NodeId(0), "CA", 0, vec![]).unwrap();
-        let b = cluster.new_instance(NodeId(0), "CB", 0, vec![]).unwrap();
-        // Crash CA's home: the next call from node 0 promotes node 0's own
-        // backup, so `a` becomes a local object of the caller.
-        cluster.crash(NodeId(1));
-        cluster.restart(NodeId(1));
-        for (obj, d, want) in [(&a, -4, -4), (&b, -9, -9), (&a, -3, -7)] {
-            assert_eq!(
-                cluster
-                    .call_method(NodeId(0), (*obj).clone(), "add", vec![Value::Int(d)])
-                    .unwrap(),
-                Value::Int(want)
-            );
-        }
-        // add(-3) ran locally on the promoted copy; the `b` exchange after
-        // it (and the quiescent point itself) must have re-shipped it.
-        assert_eq!(cluster.check_invariants(), vec![]);
-        let shared = cluster.shared();
-        let nodes = shared.nodes.borrow();
-        let backup = nodes
-            .iter()
-            .flat_map(|st| st.replica_store.get(&(0, 1)))
-            .next()
-            .expect("the promoted object keeps a backup");
-        assert_eq!(backup.2, vec![WireValue::Int(-7)], "backup holds -4-3");
-    }
-
-    /// The at-most-once canary. A retransmission served from the reply
-    /// cache is a legitimate replay; losing the cache entry and
-    /// re-executing the frame is the violation the monitor exists for.
-    /// Like the dedup test above, the scenario drives `serve_request`
-    /// directly — the single-threaded simulation cannot evict a reply
-    /// cache entry mid-exchange from the outside.
-    #[test]
-    fn at_most_once_monitor_flags_re_execution_after_cache_loss() {
-        let policy = StaticPolicy::new().place("C", Placement::Node(NodeId(1)));
-        let (cluster, base) = deployed(policy);
-        cluster.enable_monitors();
-        let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
-        let shared = cluster.shared();
-        let h = obj.as_ref_handle().unwrap();
-        let (_, oid) = read_proxy_state(&shared.vms[0], h).unwrap();
-        let add_sig = shared
-            .universe
-            .class(base)
-            .methods
-            .iter()
-            .find(|m| m.name == "add")
-            .unwrap()
-            .sig;
-        let call = Request::Call {
-            object: oid,
-            method: format!("add@{}", add_sig.0),
-            args: vec![WireValue::Int(5)],
-        };
-        // Serve once, then retransmit: the dedup cache replays — healthy.
-        let (r1, _, _) = serve_request(
-            shared,
-            NodeId(1),
-            NodeId(0),
-            900,
-            TraceContext::NONE,
-            call.clone(),
-        );
-        assert!(matches!(r1, Reply::Value(_)));
-        let (r2, _, _) = serve_request(
-            shared,
-            NodeId(1),
-            NodeId(0),
-            900,
-            TraceContext::NONE,
-            call.clone(),
-        );
-        assert_eq!(r2, r1);
-        assert_eq!(cluster.monitor_violations(), vec![]);
-
-        // Inject the bug: the server forgets its replies, so the next
-        // retransmission of 900 re-executes `add` — the object double-
-        // applies the mutation, which is exactly what at-most-once forbids.
-        {
-            let mut nodes = shared.nodes.borrow_mut();
-            nodes[1].reply_cache.clear();
-            nodes[1].reply_cache_order.clear();
-        }
-        let (r3, _, _) = serve_request(shared, NodeId(1), NodeId(0), 900, TraceContext::NONE, call);
-        assert!(matches!(r3, Reply::Value(_)));
-        assert_ne!(r3, r1, "re-execution double-applies the mutation");
-        let violations = cluster.monitor_violations();
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert_eq!(violations[0].monitor, "at-most-once");
-        assert!(violations[0].message.contains("msg 900"));
-        assert_ne!(violations[0].span_id, 0);
-    }
-
     /// A cluster running `class K { int k; int v; K(int k); int bump(int
     /// d) }` under `shard K by get_k modulo ...` with no explicit
     /// placement (instances are created locally, then routed).
-    fn deployed_sharded(nodes: u32, modulo: u32, seed: u64, k: u32) -> Cluster {
+    pub(crate) fn deployed_sharded(nodes: u32, modulo: u32, seed: u64, k: u32) -> Cluster {
         let mut u = ClassUniverse::new();
         let c = u.declare("K", ClassKind::Class);
         {
@@ -4849,192 +1149,27 @@ mod tests {
         Cluster::new(u, outcome.plan, nodes, seed, Box::new(policy))
     }
 
-    /// The smallest non-negative int key whose shard (mod `modulo`) is
-    /// `want` — lets tests pick keys by target shard without baking hash
-    /// values in.
-    fn key_for_shard(want: u32, modulo: u32) -> i32 {
-        (0..)
-            .find(|&k| (shard_hash(&Value::Int(k)) % u64::from(modulo)) as u32 == want)
-            .expect("some key hits every shard")
-    }
-
-    /// Creation-time shard placement: every instance of a `shard by` class
-    /// lands on the node its key hashes to — regardless of where it was
-    /// created — and instances sharing a shard are collocated.
-    #[test]
-    fn sharded_creates_land_on_their_keys_shard_node() {
-        let cluster = deployed_sharded(2, 4, 31, 0);
-        let mut homes: Vec<(u32, NodeId)> = Vec::new();
-        for key in 0..8 {
-            let creator = NodeId((key as u32) % 2);
-            let obj = cluster
-                .new_instance(creator, "K", 0, vec![Value::Int(key)])
-                .unwrap();
-            cluster.pin(creator, &obj);
-            let shard = (shard_hash(&Value::Int(key)) % 4) as u32;
-            let want = NodeId(shard % 2);
-            assert_eq!(cluster.location_of(creator, &obj), Some(want), "key {key}");
-            // The creator's reference works wherever the instance went.
-            assert_eq!(
-                cluster
-                    .call_method(creator, obj.clone(), "bump", vec![Value::Int(1)])
-                    .unwrap(),
-                Value::Int(1)
-            );
-            homes.push((shard, want));
-        }
-        for (s1, n1) in &homes {
-            for (s2, n2) in &homes {
-                if s1 == s2 {
-                    assert_eq!(n1, n2, "same shard must mean same node");
+    macro_rules! registered {
+        ($($module:ident :: $name:ident),* $(,)?) => {
+            $(
+                #[test]
+                fn $name() {
+                    crate::$module::tests::$name();
                 }
-            }
-        }
-        assert_eq!(cluster.stats().shard_placements, 8);
+            )*
+        };
     }
 
-    /// The rebalancing tick: hot-key skew read from the affinity
-    /// `call_counts` moves the hottest shard that fits half the gap off
-    /// the overloaded node, ships its members' state through the
-    /// migration path, and purges the counters that drove the move.
-    #[test]
-    fn rebalance_moves_a_warm_shard_off_the_hot_node() {
-        let cluster = deployed_sharded(2, 4, 32, 0);
-        let shared = cluster.shared();
-        // Shards 0 and 2 both seed onto node 0 (owner = shard % nodes).
-        let hot_key = key_for_shard(0, 4);
-        let warm_key = key_for_shard(2, 4);
-        let hot = cluster
-            .new_instance(NodeId(1), "K", 0, vec![Value::Int(hot_key)])
-            .unwrap();
-        let warm = cluster
-            .new_instance(NodeId(1), "K", 0, vec![Value::Int(warm_key)])
-            .unwrap();
-        cluster.pin(NodeId(1), &hot);
-        cluster.pin(NodeId(1), &warm);
-        assert_eq!(cluster.location_of(NodeId(1), &hot), Some(NodeId(0)));
-        assert_eq!(cluster.location_of(NodeId(1), &warm), Some(NodeId(0)));
-        let warm_old_oid = read_proxy_state(&shared.vms[1], warm.as_ref_handle().unwrap())
-            .expect("warm lives remotely")
-            .1;
-        for _ in 0..20 {
-            cluster
-                .call_method(NodeId(1), hot.clone(), "bump", vec![Value::Int(1)])
-                .unwrap();
-        }
-        for _ in 0..4 {
-            cluster
-                .call_method(NodeId(1), warm.clone(), "bump", vec![Value::Int(1)])
-                .unwrap();
-        }
-
-        let events = cluster.rebalance_shards(&AffinityConfig::default());
-        // 24 calls landed on node 0, none on node 1: the warm shard (4
-        // calls) fits in half the gap and moves; the hot one (20) would
-        // overshoot and stays put.
-        assert_eq!(events.len(), 1, "{events:?}");
-        assert_eq!((events[0].from, events[0].to), (NodeId(0), NodeId(1)));
-        assert_eq!(events[0].class, "K");
-        let stats = cluster.stats();
-        assert_eq!(stats.shard_rebalances, 1, "{stats}");
-        // State moved with the shard and both references still resolve.
-        assert_eq!(
-            cluster
-                .call_method(NodeId(1), warm.clone(), "bump", vec![Value::Int(0)])
-                .unwrap(),
-            Value::Int(4)
-        );
-        assert_eq!(
-            cluster
-                .call_method(NodeId(1), hot.clone(), "bump", vec![Value::Int(0)])
-                .unwrap(),
-            Value::Int(20)
-        );
-        // The affinity counters for the moved-away export are purged with
-        // the move — a stale entry would keep feeding dead locations into
-        // the next tick.
-        assert!(
-            !shared.nodes.borrow()[0]
-                .call_counts
-                .contains_key(&warm_old_oid),
-            "stale counter for the moved object"
-        );
-        // With the skew resolved, the next tick converges to a no-op.
-        assert!(cluster
-            .rebalance_shards(&AffinityConfig::default())
-            .is_empty());
-    }
-
-    /// `reads from replicas`: a getter issued by a caller that holds a
-    /// backup of the object is served from that backup only while the
-    /// backup's version matches the owner's — fresh hits skip the
-    /// exchange entirely, a lagging backup falls through to the owner,
-    /// and the stale-read monitor stays silent throughout.
-    #[test]
-    fn replica_reads_serve_getters_from_the_local_backup() {
-        let policy = StaticPolicy::new()
-            .place("C", Placement::Node(NodeId(1)))
-            .replicate("C", 1)
-            .replica_reads("C", true);
-        let (cluster, _) = deployed(policy);
-        cluster.enable_monitors();
-        let obj = cluster.new_instance(NodeId(0), "C", 0, vec![]).unwrap();
-        let shared = cluster.shared();
-        let (owner, oid) = read_proxy_state(&shared.vms[0], obj.as_ref_handle().unwrap()).unwrap();
-        assert_eq!(owner, 1, "policy must place the object remotely");
-        // A mutation is served at the owner and ships the backup to node 0.
-        assert_eq!(
-            cluster
-                .call_method(NodeId(0), obj.clone(), "add", vec![Value::Int(5)])
-                .unwrap(),
-            Value::Int(5)
-        );
-        assert!(cluster.stats().replica_syncs >= 1);
-
-        let before = cluster.stats().rpc_calls;
-        assert_eq!(
-            cluster
-                .call_method(NodeId(0), obj.clone(), "get_v", vec![])
-                .unwrap(),
-            Value::Int(5)
-        );
-        let stats = cluster.stats();
-        assert_eq!(stats.rpc_calls, before, "a fresh backup serves locally");
-        assert_eq!(stats.replica_reads, 1, "{stats}");
-
-        // Age the stored version: the same getter must now fall through
-        // to the owner instead of serving what just became a stale copy.
-        shared.nodes.borrow_mut()[0]
-            .replica_store
-            .get_mut(&(owner, oid))
-            .expect("backup entry")
-            .0 -= 1;
-        assert_eq!(
-            cluster
-                .call_method(NodeId(0), obj.clone(), "get_v", vec![])
-                .unwrap(),
-            Value::Int(5)
-        );
-        let stats = cluster.stats();
-        assert_eq!(stats.rpc_calls, before + 1, "lagging backup: {stats}");
-        assert_eq!(stats.replica_reads, 1, "{stats}");
-
-        // Writes keep flowing through the owner; the re-shipped backup
-        // serves the next read with the new value.
-        assert_eq!(
-            cluster
-                .call_method(NodeId(0), obj.clone(), "add", vec![Value::Int(2)])
-                .unwrap(),
-            Value::Int(7)
-        );
-        assert_eq!(
-            cluster
-                .call_method(NodeId(0), obj, "get_v", vec![])
-                .unwrap(),
-            Value::Int(7)
-        );
-        assert_eq!(cluster.monitor_violations(), vec![]);
-    }
+    registered!(
+        rpc::dedup_hit_replays_the_serve_time_version,
+        rpc::at_most_once_monitor_flags_re_execution_after_cache_loss,
+        rpc::repeat_calls_intern_signatures_and_reuse_buffers,
+        batching::deferred_ops_flush_at_a_value_returning_call,
+        replication::local_mutations_after_self_promotion_reach_the_backups,
+        replication::replica_reads_serve_getters_from_the_local_backup,
+        placement::sharded_creates_land_on_their_keys_shard_node,
+        placement::rebalance_moves_a_warm_shard_off_the_hot_node,
+    );
 
     // --- adaptation/crash chaos (proptest) ---
 

@@ -18,11 +18,14 @@
 //! 2.4); deployment then flips `refresh`/`node_stats` on the generated
 //! `_O_Local` to native hooks that snapshot live cluster state.
 
-use crate::cluster::{self, Shared};
+use crate::cluster::Shared;
+use crate::obs;
+use crate::registry;
 use rafda_classmodel::{ClassBuilder, ClassId, ClassKind, ClassUniverse, Field, MethodBuilder, Ty};
 use rafda_net::NodeId;
 use rafda_transform::TransformPlan;
 use rafda_vm::{Value, VmError};
+use std::fmt::Write as _;
 
 /// The synthetic class name registered in the class universe.
 pub const INTROSPECTION_CLASS: &str = "rafda.Introspection";
@@ -105,11 +108,11 @@ pub(crate) fn refresh_native(
     let class = vm
         .class_of(h)
         .ok_or_else(|| VmError::Native("stale introspection receiver".into()))?;
-    let stats = cluster::merged_stats(shared).to_string();
-    let policy = cluster::policy_table(shared);
-    let placement = cluster::placement_table(shared);
+    let stats = obs::merged_stats(shared).to_string();
+    let policy = policy_table(shared);
+    let placement = registry::placement_table(shared);
     let homes = shared.dir.borrow().links_table();
-    let prometheus = cluster::prometheus_text_of(shared);
+    let prometheus = obs::prometheus_text_of(shared);
     let values: Vec<Value> = shared
         .universe
         .field_layout(class)
@@ -140,9 +143,40 @@ pub(crate) fn node_stats_native(shared: &Shared, args: &[Value]) -> Result<Value
     if n < 0 || n as usize >= shared.vms.len() {
         return Err(VmError::Native(format!("no such node {n}")));
     }
-    Ok(Value::str(
-        cluster::node_stats_of(shared, n as u32).to_string(),
-    ))
+    Ok(Value::str(obs::node_stats_of(shared, n as u32).to_string()))
+}
+
+/// The policy table as served by `rafda.Introspection`: one line per
+/// substitutable class, sorted by name, with every policy decision the
+/// runtime consults for it.
+fn policy_table(shared: &Shared) -> String {
+    let mut names: Vec<&str> = shared
+        .plan
+        .families
+        .keys()
+        .map(|&b| shared.universe.class(b).name.as_str())
+        .collect();
+    names.sort_unstable();
+    let mut out = String::new();
+    for name in names {
+        let p = &shared.policy;
+        let shard = p
+            .shard_spec(name)
+            .map(|s| format!("{} mod {}", s.key_getter, s.modulo))
+            .unwrap_or_else(|| "-".into());
+        let _ = writeln!(
+            out,
+            "{name}: protocol={} statics=node{} cacheable={} replicas={} batched={} shard={} replica_reads={}",
+            p.protocol(name),
+            p.statics_node(name).0,
+            p.cacheable(name),
+            p.replicas(name),
+            p.batched(name),
+            shard,
+            p.reads_from_replicas(name)
+        );
+    }
+    out
 }
 
 #[cfg(test)]

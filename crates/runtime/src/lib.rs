@@ -4,23 +4,28 @@
 //! (`rafda-transform`) and deploys it over a simulated cluster
 //! (`rafda-net`), implementing the pieces the paper leaves to the runtime:
 //!
-//! * the **factory hooks** — the generated `make()` and `discover()` methods
-//!   are `native`; this crate installs their implementations, which consult
-//!   the [`DistributionPolicy`](rafda_policy::DistributionPolicy) ("the
-//!   object creation method contains the policy determining which of the
-//!   classes implementing `A_O_Int` will be used", Section 2);
-//! * the **proxy hooks** — every method of a generated `A_O_Proxy_<P>` /
-//!   `A_C_Proxy_<P>` class marshals the call with protocol `P`
-//!   (`rafda-wire`), ships it over the simulated network, and the owning
-//!   node's VM executes the real method, with results, remote references
-//!   and exceptions marshalled back;
-//! * **object registries** — exported objects, imported proxies, and the
-//!   per-node singletons implementing static members;
-//! * **dynamic boundary changes** — [`Cluster::migrate`] moves a live
-//!   object to another node, rewriting the local instance *in place* into a
-//!   proxy (the paper's Figure 1: `C` becomes `Cp`), and
+//! * the **factory hooks** (`client`) — the generated `make()` and
+//!   `discover()` methods are `native`; this crate installs their
+//!   implementations, which consult the
+//!   [`DistributionPolicy`](rafda_policy::DistributionPolicy) ("the object
+//!   creation method contains the policy determining which of the classes
+//!   implementing `A_O_Int` will be used", Section 2);
+//! * the **proxy hooks** (`client`, `rpc`, `serve`) — every method of a
+//!   generated `A_O_Proxy_<P>` / `A_C_Proxy_<P>` class marshals the call
+//!   with protocol `P` (`rafda-wire`), ships it over the simulated network,
+//!   and the owning node's VM executes the real method, with results,
+//!   remote references and exceptions marshalled back;
+//! * **object registries** (`registry`) — exported objects, imported
+//!   proxies, and the per-node singletons implementing static members;
+//! * **dynamic boundary changes** (`cluster`) — [`Cluster::migrate`] moves
+//!   a live object to another node, rewriting the local instance *in place*
+//!   into a proxy (the paper's Figure 1: `C` becomes `Cp`), and
 //!   [`Cluster::pull_local`] reverses it; [`Cluster::adapt`] runs the
-//!   affinity loop that re-draws boundaries automatically.
+//!   affinity loop that re-draws boundaries automatically (`placement`).
+//!
+//! Each further mechanism is one module that owns its state: crash-stop
+//! `replication`, `batching`, sharding in `placement`, the object
+//! `directory`, and the metrics and exports in `obs`.
 //!
 //! ## Example
 //!
@@ -46,14 +51,22 @@
 
 #![warn(missing_docs)]
 
+mod batching;
+mod client;
 pub mod cluster;
 mod directory;
 pub mod error;
+mod fifo;
 pub mod introspect;
 pub mod local;
 pub mod marshal;
 mod obs;
 pub mod persist;
+mod placement;
+mod registry;
+mod replication;
+mod rpc;
+mod serve;
 pub mod soak;
 
 pub use cluster::{Cluster, MigrationEvent, NodeSummary, RemoteRef, RetryPolicy, RuntimeStats};

@@ -16,14 +16,15 @@
 //!   they cannot be remote (Section 2.4), exactly like non-`Remote`
 //!   serialisable objects in RMI.
 
-use crate::cluster::{
-    cache_import, cached_import, export, gen_info, lookup_export, proxy_class_for,
-    read_proxy_state, Shared, Side,
+use crate::cluster::{Shared, Side};
+use crate::registry::{
+    cache_import, cached_import, export, lookup_export, proxy_class_for, proxy_fields,
+    read_proxy_state,
 };
 use rafda_classmodel::Ty;
 use rafda_net::NodeId;
-use rafda_vm::{HeapEntry, Value, Vm};
-use rafda_wire::WireValue;
+use rafda_vm::{HeapEntry, Value, Vm, VmError};
+use rafda_wire::{Reply, WireValue};
 
 /// Maximum by-value object-graph depth (cycle guard).
 const MAX_DEPTH: u32 = 32;
@@ -42,9 +43,18 @@ pub(crate) fn values_to_wire(
     node: NodeId,
     values: &[Value],
 ) -> Result<Vec<WireValue>, String> {
+    values_to_wire_rec(shared, node, values, 0)
+}
+
+fn values_to_wire_rec(
+    shared: &Shared,
+    node: NodeId,
+    values: &[Value],
+    depth: u32,
+) -> Result<Vec<WireValue>, String> {
     let mut out = Vec::with_capacity(values.len());
     for v in values {
-        out.push(value_to_wire(shared, node, v)?);
+        out.push(value_to_wire_rec(shared, node, v, depth)?);
     }
     Ok(out)
 }
@@ -74,45 +84,35 @@ fn value_to_wire_rec(
                 _ => None,
             });
             if let Some(items) = array_items {
-                let mut out = Vec::with_capacity(items.len());
-                for item in &items {
-                    out.push(value_to_wire_rec(shared, node, item, depth + 1)?);
-                }
-                return Ok(WireValue::Array(out));
+                return Ok(WireValue::Array(values_to_wire_rec(
+                    shared,
+                    node,
+                    &items,
+                    depth + 1,
+                )?));
             }
             let class = vm.class_of(*h).ok_or("stale handle in marshalling")?;
-            match gen_info(shared, class) {
-                Some(info) if info.proto.is_some() => {
-                    // Proxy: ship its target descriptor (no proxy chains).
-                    let (target, oid) =
-                        read_proxy_state(vm, *h).ok_or("stale proxy in marshalling")?;
-                    let logical = logical_class_name(shared, info.base, info.side);
-                    WireValue::Remote {
-                        node: target,
-                        object: oid,
-                        class: logical,
-                    }
-                }
+            match shared.gen_info.get(&class) {
                 Some(info) => {
-                    // Local implementation: export by reference.
-                    let oid = export(shared, node, *h);
-                    let logical = logical_class_name(shared, info.base, info.side);
+                    // A proxy ships its target descriptor (no proxy chains);
+                    // a local implementation is exported by reference.
+                    let (owner, object) = if info.is_proxy() {
+                        read_proxy_state(vm, *h).ok_or("stale proxy in marshalling")?
+                    } else {
+                        (node.0, export(shared, node, *h))
+                    };
                     WireValue::Remote {
-                        node: node.0,
-                        object: oid,
-                        class: logical,
+                        node: owner,
+                        object,
+                        class: logical_class_name(shared, info.base, info.side),
                     }
                 }
                 None => {
                     // Untransformed class: by value.
                     let (_, fields) = vm.read_object(*h).ok_or("stale handle")?;
-                    let mut out = Vec::with_capacity(fields.len());
-                    for f in &fields {
-                        out.push(value_to_wire_rec(shared, node, f, depth + 1)?);
-                    }
                     WireValue::ObjectState {
                         class: shared.universe.class(class).name.clone(),
-                        fields: out,
+                        fields: values_to_wire_rec(shared, node, &fields, depth + 1)?,
                     }
                 }
             }
@@ -120,7 +120,13 @@ fn value_to_wire_rec(
     })
 }
 
-fn logical_class_name(shared: &Shared, base: rafda_classmodel::ClassId, side: Side) -> String {
+/// The implementation class a remote reference to `base`'s `side` names on
+/// the wire: the `*_Local` class, whichever proxy the sender holds.
+pub(crate) fn logical_class_name(
+    shared: &Shared,
+    base: rafda_classmodel::ClassId,
+    side: Side,
+) -> String {
     let family = shared.plan.family(base).expect("family exists");
     let id = match side {
         Side::Obj => family.obj_local,
@@ -168,25 +174,20 @@ pub(crate) fn wire_to_value(
                 .universe
                 .by_name(class)
                 .ok_or_else(|| format!("unknown remote class {class}"))?;
-            let info = gen_info(shared, impl_class)
-                .ok_or_else(|| format!("{class} is not a transformed implementation"))?
-                .clone();
+            let info = shared
+                .gen_info
+                .get(&impl_class)
+                .ok_or_else(|| format!("{class} is not a transformed implementation"))?;
             let base_name = shared.universe.class(info.base).name.clone();
             let proto = shared.policy.protocol(&base_name);
             let proxy_class = proxy_class_for(shared, info.base, info.side, &proto)
                 .ok_or_else(|| format!("no {proto} proxy generated for {base_name}"))?;
-            let h = vm.alloc_raw(
-                proxy_class,
-                vec![Value::Int(*owner as i32), Value::Long(*object as i64)],
-            );
+            let h = vm.alloc_raw(proxy_class, proxy_fields((*owner, *object)));
             cache_import(shared, node, *owner, *object, h);
             Value::Ref(h)
         }
         WireValue::Array(items) => {
-            let mut data = Vec::with_capacity(items.len());
-            for item in items {
-                data.push(wire_to_value(shared, node, item)?);
-            }
+            let data = wire_to_values(shared, node, items)?;
             // The element type is only used for default values of
             // newly-allocated arrays, so a best-effort tag suffices.
             let elem = match items.first() {
@@ -205,10 +206,7 @@ pub(crate) fn wire_to_value(
                 .universe
                 .by_name(class)
                 .ok_or_else(|| format!("unknown class {class}"))?;
-            let mut values = Vec::with_capacity(fields.len());
-            for f in fields {
-                values.push(wire_to_value(shared, node, f)?);
-            }
+            let values = wire_to_values(shared, node, fields)?;
             Value::Ref(vm.alloc_raw(class_id, values))
         }
     })
@@ -225,4 +223,31 @@ pub(crate) fn wire_to_values(
         out.push(wire_to_value(shared, node, wv)?);
     }
     Ok(out)
+}
+
+/// Re-materialise on `node` an exception a remote operation threw.
+pub(crate) fn rethrow(shared: &Shared, node: NodeId, class: &str, fields: &[WireValue]) -> VmError {
+    let Some(exc_class) = shared.universe.by_name(class) else {
+        return VmError::Native(format!("unknown exception class {class}"));
+    };
+    match wire_to_values(shared, node, fields) {
+        Ok(values) => VmError::Exception(shared.vms[node.0 as usize].alloc_raw(exc_class, values)),
+        Err(m) => VmError::Native(m),
+    }
+}
+
+/// The value a reply to a `what` request carries, unmarshalled on `node`;
+/// a fault, exception or batch reply is an error.
+pub(crate) fn reply_value(
+    shared: &Shared,
+    node: NodeId,
+    reply: Reply,
+    what: &str,
+) -> Result<Value, VmError> {
+    match reply {
+        Reply::Value(wv) => wire_to_value(shared, node, &wv).map_err(VmError::Native),
+        Reply::Fault(m) => Err(VmError::Native(m)),
+        Reply::Exception { .. } => Err(VmError::Native(format!("exception during {what}"))),
+        Reply::Batch(_) => Err(VmError::Native(format!("unexpected batch reply to {what}"))),
+    }
 }

@@ -18,8 +18,10 @@
 //! same remote object on restore (if it still exists) — the persistence
 //! analogue of RAFDA's remote references.
 
-use crate::cluster::{gen_info, read_proxy_state, Shared};
+use crate::cluster::{GenInfo, Shared};
 use crate::error::RuntimeError;
+use crate::marshal::logical_class_name;
+use crate::registry::read_proxy_state;
 use crate::Cluster;
 use rafda_net::NodeId;
 use rafda_vm::{Handle, HeapEntry, Value, Vm};
@@ -152,7 +154,7 @@ pub(crate) fn snapshot(
             HeapEntry::Object { class, fields } => {
                 // Proxies are boundary markers, not captured objects —
                 // unless they are the root, which we reject.
-                if gen_info(shared, *class).is_some_and(|i| i.proto.is_some()) {
+                if shared.gen_info.get(class).is_some_and(GenInfo::is_proxy) {
                     if h == root {
                         return Err(RuntimeError::Bad(
                             "cannot snapshot a proxy root; snapshot at its home node".into(),
@@ -215,24 +217,19 @@ pub(crate) fn snapshot(
                         let class = vm
                             .class_of(*r)
                             .ok_or_else(|| RuntimeError::Bad("stale ref in snapshot".into()))?;
-                        let info = gen_info(shared, class)
-                            .filter(|i| i.proto.is_some())
+                        let info = shared
+                            .gen_info
+                            .get(&class)
+                            .filter(|i| i.is_proxy())
                             .ok_or_else(|| {
                                 RuntimeError::Bad("unreachable non-proxy in snapshot".into())
                             })?;
                         let (n, oid) = read_proxy_state(vm, *r)
                             .ok_or_else(|| RuntimeError::Bad("stale proxy in snapshot".into()))?;
-                        let family = shared.plan.family(info.base).expect("family");
-                        let logical = match info.side {
-                            crate::cluster::Side::Obj => family.obj_local,
-                            crate::cluster::Side::Cls => {
-                                family.cls_local.expect("cls side implies statics")
-                            }
-                        };
                         SnapSlot::Remote {
                             node: n,
                             oid,
-                            class: shared.universe.class(logical).name.clone(),
+                            class: logical_class_name(shared, info.base, info.side),
                         }
                     }
                 }

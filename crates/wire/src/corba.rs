@@ -13,27 +13,30 @@ use crate::sig::SigTable;
 use crate::{rmi, Protocol, Reply, Request, TraceContext, WireError};
 
 const MAGIC: &[u8] = b"GIOP";
-// Minor version 3 added the message id (at-most-once dedup key): an aligned
-// u64 occupying bytes 8..16 of every frame (bytes 6..8 are alignment pad).
-// Minor version 4 appended the trace context: three aligned u64s (trace,
-// span, parent span ids) at bytes 16..40. Minor-3 frames still decode, with
-// `TraceContext::NONE`.
-// Minor version 5 appended the served object's property version to *reply*
-// frames: an aligned u64 at bytes 40..48 (requests are unchanged). Minor-4
-// replies decode with version 0.
-// Minor version 6 added the replica-sync and promote request bodies
-// (crash-stop failover); the header layout is unchanged, so minor-5 frames
-// still decode as before.
-// Minor version 7 added the batch request/reply bodies (batched remote
-// invocation); again the header layout is unchanged, so minor-6 frames
-// still decode as before.
-// Minor version 8 adds signature interning (marker-prefixed signature
+// Every frame of this build is minor version 7 or 8; the decoders reject
+// any other minor byte. Minor 7 is the stateless encoding: an aligned u64
+// message id at bytes 8..16 (bytes 6..8 are alignment pad), the trace
+// context as three aligned u64s (trace, span, parent span ids) at bytes
+// 16..40, and on replies the served object's property version at bytes
+// 40..48. Minor 8 adds signature interning (marker-prefixed signature
 // strings resolved against the link's `SigTable`), emitted only when a
-// table is supplied; the stateless encode path still emits minor-7 bytes,
-// and minor-7 frames still decode as before.
+// table is supplied.
 const MAJOR: u8 = 1;
 const MINOR: u8 = 7;
 const MINOR_SIG: u8 = 8;
+
+/// Read the minor version byte of a frame this build emits: `Ok(false)`
+/// for a stateless minor-7 frame, `Ok(true)` for an interned minor-8
+/// frame. Any other minor is a typed error.
+fn read_minor(r: &mut BinReader<'_>) -> Result<bool, WireError> {
+    match r.u8()? {
+        MINOR => Ok(false),
+        MINOR_SIG => Ok(true),
+        m => Err(WireError::new(format!(
+            "unsupported GIOP minor version {m}"
+        ))),
+    }
+}
 
 /// The CORBA-like protocol.
 #[derive(Debug, Clone, Copy, Default)]
@@ -72,14 +75,10 @@ impl Protocol for CorbaCodec {
         let mut r = BinReader::aligned(bytes);
         r.expect(MAGIC)?;
         r.expect(&[MAJOR])?;
-        let minor = r.u8()?;
+        let sigged = read_minor(&mut r)?;
         let id = r.u64()?;
-        let ctx = if minor >= 4 {
-            rmi::read_ctx(&mut r)?
-        } else {
-            TraceContext::NONE
-        };
-        rmi::binary_header(bytes, &mut r, id, ctx, true, minor >= 8)
+        let ctx = rmi::read_ctx(&mut r)?;
+        rmi::binary_header(bytes, &mut r, id, ctx, true, sigged)
     }
 
     fn encode_reply_into(
@@ -109,15 +108,11 @@ impl Protocol for CorbaCodec {
         let mut r = BinReader::aligned(bytes);
         r.expect(MAGIC)?;
         r.expect(&[MAJOR])?;
-        let minor = r.u8()?;
+        let sigged = read_minor(&mut r)?;
         let id = r.u64()?;
-        let ctx = if minor >= 4 {
-            rmi::read_ctx(&mut r)?
-        } else {
-            TraceContext::NONE
-        };
-        let obj_version = if minor >= 5 { r.u64()? } else { 0 };
-        let reply = rmi::read_reply(&mut r, minor >= 8, &mut sigs)?;
+        let ctx = rmi::read_ctx(&mut r)?;
+        let obj_version = r.u64()?;
+        let reply = rmi::read_reply(&mut r, sigged, &mut sigs)?;
         Ok((id, ctx, obj_version, reply))
     }
 
@@ -184,82 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn minor_3_frames_decode_with_no_trace_context() {
-        let ctx = TraceContext {
-            trace_id: 5,
-            span_id: 6,
-            parent_span_id: 1,
-        };
-        let v6 = CorbaCodec::new()
-            .encode_request(9, ctx, &Request::Fetch { object: 2 })
-            .unwrap();
-        // Re-create the pre-tracing frame: minor version 3, no trace context
-        // words (drop bytes 16..40); everything after stays aligned because
-        // 24 bytes is a multiple of 8.
-        let mut v3 = v6.clone();
-        v3[5] = 3;
-        v3.drain(16..40);
-        let (id, back_ctx, req) = CorbaCodec::new().decode_request(&v3).unwrap();
-        assert_eq!(id, 9);
-        assert_eq!(back_ctx, TraceContext::NONE);
-        assert_eq!(req, Request::Fetch { object: 2 });
-    }
-
-    #[test]
-    fn minor_5_frames_decode_unchanged() {
-        // Minor 6 only added request bodies; the header layout is identical,
-        // so a minor-5 frame is a minor-6 frame with a different version
-        // byte. Pre-failover peers must keep parsing.
-        let ctx = TraceContext {
-            trace_id: 8,
-            span_id: 2,
-            parent_span_id: 1,
-        };
-        let codec = CorbaCodec::new();
-        let mut req5 = codec
-            .encode_request(11, ctx, &Request::Fetch { object: 2 })
-            .unwrap();
-        req5[5] = 5;
-        let (id, back_ctx, req) = codec.decode_request(&req5).unwrap();
-        assert_eq!((id, back_ctx), (11, ctx));
-        assert_eq!(req, Request::Fetch { object: 2 });
-        let mut rep5 = codec
-            .encode_reply(11, ctx, 31, &Reply::Value(WireValue::Long(-8)))
-            .unwrap();
-        rep5[5] = 5;
-        let (id, back_ctx, ver, reply) = codec.decode_reply(&rep5).unwrap();
-        assert_eq!((id, back_ctx, ver), (11, ctx, 31));
-        assert_eq!(reply, Reply::Value(WireValue::Long(-8)));
-    }
-
-    #[test]
-    fn minor_6_frames_decode_unchanged() {
-        // Minor 7 only added the batch bodies; the header layout is
-        // identical, so a minor-6 frame is a minor-7 frame with a different
-        // version byte. Pre-batching peers must keep parsing.
-        let ctx = TraceContext {
-            trace_id: 3,
-            span_id: 4,
-            parent_span_id: 2,
-        };
-        let codec = CorbaCodec::new();
-        let mut req6 = codec
-            .encode_request(17, ctx, &Request::Promote { node: 1, object: 5 })
-            .unwrap();
-        req6[5] = 6;
-        let (id, back_ctx, req) = codec.decode_request(&req6).unwrap();
-        assert_eq!((id, back_ctx), (17, ctx));
-        assert_eq!(req, Request::Promote { node: 1, object: 5 });
-        let mut rep6 = codec
-            .encode_reply(17, ctx, 3, &Reply::Value(WireValue::Int(6)))
-            .unwrap();
-        rep6[5] = 6;
-        let (id, back_ctx, ver, reply) = codec.decode_reply(&rep6).unwrap();
-        assert_eq!((id, back_ctx, ver), (17, ctx, 3));
-        assert_eq!(reply, Reply::Value(WireValue::Int(6)));
-    }
-
-    #[test]
     fn minor_7_frames_decode_unchanged() {
         // Minor 8 only changed how signature strings are written, and only
         // when a table is negotiated; stateless encode stays at minor 7 and
@@ -304,28 +223,5 @@ mod tests {
         assert!(second.len() < first.len());
         let h2 = codec.decode_request_header(&second).unwrap();
         assert_eq!(h2.materialise(Some(&mut dec)).unwrap(), req);
-    }
-
-    #[test]
-    fn minor_4_replies_decode_with_object_version_zero() {
-        let ctx = TraceContext {
-            trace_id: 5,
-            span_id: 6,
-            parent_span_id: 1,
-        };
-        let v6 = CorbaCodec::new()
-            .encode_reply(9, ctx, 31, &Reply::Value(WireValue::Long(-8)))
-            .unwrap();
-        // Re-create the pre-caching frame: minor version 4, no object
-        // version word (drop bytes 40..48); the body stays aligned because
-        // 8 bytes is a multiple of 8.
-        let mut v4 = v6.clone();
-        v4[5] = 4;
-        v4.drain(40..48);
-        let (id, back_ctx, ver, reply) = CorbaCodec::new().decode_reply(&v4).unwrap();
-        assert_eq!(id, 9);
-        assert_eq!(back_ctx, ctx);
-        assert_eq!(ver, 0, "pre-caching peers imply version 0");
-        assert_eq!(reply, Reply::Value(WireValue::Long(-8)));
     }
 }

@@ -420,3 +420,38 @@ fn rmi_rejects_every_version_it_does_not_emit() {
         }
     }
 }
+
+/// Every GIOP frame of this build is minor version 7 (stateless) or 8
+/// (interned). Any other minor byte — the retired pre-tracing,
+/// pre-caching, pre-failover and pre-batching layouts, or one from the
+/// future — is rejected by both the request-header and the reply decoder.
+#[test]
+fn giop_rejects_every_minor_it_does_not_emit() {
+    let codec = CorbaCodec::new();
+    let ctx = TraceContext {
+        trace_id: 5,
+        span_id: 6,
+        parent_span_id: 1,
+    };
+    let request = codec
+        .encode_request(9, ctx, &Request::Fetch { object: 2 })
+        .unwrap();
+    let reply = codec
+        .encode_reply(9, ctx, 4, &Reply::Value(WireValue::Int(3)))
+        .unwrap();
+    for minor in [0u8, 3, 4, 5, 6, 9] {
+        let (mut req, mut rep) = (request.clone(), reply.clone());
+        req[5] = minor;
+        rep[5] = minor;
+        for err in [
+            codec.decode_request_header(&req).map(|_| ()).unwrap_err(),
+            codec.decode_reply(&rep).map(|_| ()).unwrap_err(),
+        ] {
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported GIOP minor version {minor}")),
+                "minor {minor}: {err}"
+            );
+        }
+    }
+}

@@ -207,27 +207,6 @@ fn soap_promote_text_is_stable() {
 }
 
 #[test]
-fn pre_failover_giop_minor_5_frames_still_parse() {
-    // Same argument as for RMI: only the minor version byte (index 5)
-    // distinguishes a minor-5 frame from a minor-6 frame.
-    let codec = CorbaCodec::new();
-    let mut req5 = codec
-        .encode_request(7, sample_ctx(), &Request::Fetch { object: 1 })
-        .unwrap();
-    req5[5] = 5;
-    let (id, ctx, body) = codec.decode_request(&req5).unwrap();
-    assert_eq!((id, ctx), (7, sample_ctx()));
-    assert_eq!(body, Request::Fetch { object: 1 });
-    let mut rep5 = codec
-        .encode_reply(7, sample_ctx(), 3, &Reply::Fault("f".to_owned()))
-        .unwrap();
-    rep5[5] = 5;
-    let (id, ctx, ver, reply) = codec.decode_reply(&rep5).unwrap();
-    assert_eq!((id, ctx, ver), (7, sample_ctx(), 3));
-    assert_eq!(reply, Reply::Fault("f".to_owned()));
-}
-
-#[test]
 fn pre_failover_soap_frames_still_parse() {
     // A verbatim PR-3-era envelope (mid + trace + objver, no failover
     // vocabulary anywhere) must keep decoding.
@@ -497,20 +476,4 @@ fn soap_batch_reply_text_is_stable() {
     );
     let (_, _, _, back) = SoapCodec::new().decode_reply(xml.as_bytes()).unwrap();
     assert_eq!(back, reply);
-}
-
-#[test]
-fn pre_batching_v6_frames_still_parse() {
-    // GIOP minor 7 changed no header or body layout for the pre-existing
-    // request/reply kinds, so a minor-6 frame differs from a minor-7 frame
-    // only in the minor version byte (index 5). The RMI decoder accepts
-    // only the versions this build emits (see `decode_errors.rs`).
-    let corba = CorbaCodec::new();
-    let mut creq6 = corba
-        .encode_request(7, sample_ctx(), &Request::Fetch { object: 1 })
-        .unwrap();
-    creq6[5] = 6;
-    let (id, ctx, body) = corba.decode_request(&creq6).unwrap();
-    assert_eq!((id, ctx), (7, sample_ctx()));
-    assert_eq!(body, Request::Fetch { object: 1 });
 }
