@@ -27,7 +27,7 @@
 //! trajectory across the 10⁴/10⁵/10⁶ tiers lands in a machine-readable
 //! artifact next to the human report.
 //!
-//! [`SoakReport`]: rafda::runtime::SoakReport
+//! [`SoakReport`]: rafda::soak::SoakReport
 
 use rafda::corpus::ops::generate_churn;
 use rafda::corpus::ops::ChurnConfig;

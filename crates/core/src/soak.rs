@@ -9,24 +9,42 @@
 //! and checks each op against the exact single-address-space
 //! [`Oracle`].
 //!
-//! The harness is shared by the soak gate (`tests/soak.rs`), the E16
-//! bench (`crates/bench/benches/e16_soak.rs`) and the experiments report:
+//! [`SoakHarness::apply`] is the one interpreter of the [`SoakOp`]
+//! alphabet in the workspace. [`SoakHarness::deploy`] builds the E16
+//! cluster; [`SoakHarness::new`] wraps any deployment of [`soak_app`] —
+//! the per-feature chaos properties (`tests/chaos_soak.rs`) are each one
+//! distribution policy and drop rate over it. The harness is shared by
+//! the soak gate (`tests/soak.rs`), the chaos properties, the
+//! E16 bench (`crates/bench/benches/e16_soak.rs`) and the experiments
+//! report:
 //!
-//! * [`run_schedule`] drives a phased schedule under a
-//!   [`SoakRecorder`], checking invariants at
-//!   every phase boundary, and returns the deterministic
-//!   [`SoakReport`];
+//! * [`run_schedule`] drives a phased schedule under a [`SoakRecorder`],
+//!   checking invariants at every phase boundary, and returns the
+//!   deterministic [`SoakReport`];
 //! * [`run_flat`] drives a bare op slice and reports the first divergence —
 //!   the case closure the shrinker (`proptest::shrink`) replays while
 //!   minimising a failing trace.
+//!
+//! The accounting around a phased run lives here too: a [`SoakRecorder`]
+//! snapshots the cluster's counters at every phase boundary, counts the
+//! ops applied per kind, and [`SoakRecorder::finish`] runs the
+//! quiescent-point invariant sweep ([`Cluster::check_invariants`]) to fold
+//! the monitor verdicts into a [`SoakReport`]. Everything in the report
+//! derives from the simulated clock and the deterministic counters, so
+//! equal seeds render byte-identical reports — `ci.sh` diffs the text
+//! across two runs, exactly as it does for the experiment report and the
+//! metric exports.
 
 use crate::classmodel::builder::{ClassBuilder, MethodBuilder};
 use crate::classmodel::{ClassKind, Field};
 use crate::corpus::ops::{ChurnConfig, ChurnSchedule, Oracle, PoolClass, SoakOp};
-use crate::runtime::{SoakRecorder, SoakReport};
+use crate::telemetry::standard_monitors;
 use crate::{
-    AffinityConfig, Application, Cluster, NodeId, Placement, RetryPolicy, StaticPolicy, Ty, Value,
+    AffinityConfig, Application, Cluster, NodeId, Placement, RetryPolicy, RuntimeStats,
+    StaticPolicy, Ty, Value, Violation,
 };
+use std::collections::BTreeMap;
+use std::fmt;
 
 /// Shard count for the `Item` class (`shard Item by get_k modulo 8`).
 pub const SHARD_MODULO: u32 = 8;
@@ -102,9 +120,8 @@ impl SoakHarness {
     /// the driving client on the coordinator (the highest node id, never
     /// crashed), `Item` sharded over [`SHARD_MODULO`] shards with replica
     /// reads, `Acct` cached on node 1, `Tally` batched on node 2 — all
-    /// three replicated k = 2 — with retries raised to absorb the
-    /// [`DROP_PROBABILITY`] message-drop rate, monitors on, and the whole
-    /// object pool created and pinned at the coordinator.
+    /// three replicated k = 2 — under the [`DROP_PROBABILITY`]
+    /// message-drop rate, then hand the cluster to [`SoakHarness::new`].
     pub fn deploy(cfg: &ChurnConfig) -> SoakHarness {
         let coord = NodeId(u32::from(cfg.nodes) - 1);
         let policy = StaticPolicy::new()
@@ -122,13 +139,25 @@ impl SoakHarness {
             .transform(&["RMI"])
             .expect("soak app transforms")
             .deploy(u32::from(cfg.nodes), cfg.seed, Box::new(policy));
+        cluster
+            .network()
+            .fault_plan(|f| f.drop_probability = DROP_PROBABILITY);
+        SoakHarness::new(cluster, cfg)
+    }
+
+    /// Drive a deployment of [`soak_app`] with `cfg`'s pool layout: raise
+    /// retries to 10 attempts (enough to absorb a 10 % drop rate), enable
+    /// the monitors, and create the whole `[items][accts][tallys]` pool
+    /// at — and pin it on — the coordinator, node `cfg.nodes − 1`, which
+    /// then issues every op. Where each object lives is the cluster's
+    /// policy; set any drop rate before calling this, as
+    /// [`SoakHarness::deploy`] does.
+    pub fn new(cluster: Cluster, cfg: &ChurnConfig) -> SoakHarness {
+        let coord = NodeId(u32::from(cfg.nodes) - 1);
         cluster.set_retry_policy(RetryPolicy {
             max_attempts: 10,
             ..RetryPolicy::default()
         });
-        cluster
-            .network()
-            .fault_plan(|f| f.drop_probability = DROP_PROBABILITY);
         cluster.enable_monitors();
         let classes: Vec<PoolClass> = (0..cfg.pool()).map(|idx| cfg.class_of(idx)).collect();
         let objs: Vec<Value> = classes
@@ -358,6 +387,20 @@ impl SoakHarness {
         Ok(())
     }
 
+    /// Apply a bare op slice against a fresh oracle and end with
+    /// [`SoakHarness::finale`] — a whole run on a freshly built harness.
+    ///
+    /// # Errors
+    /// The first divergence, prefixed with its op index, or the finale's.
+    pub fn run(&mut self, ops: &[SoakOp]) -> Result<(), String> {
+        let mut oracle = Oracle::new(self.objs.len());
+        for (i, op) in ops.iter().enumerate() {
+            self.apply(op, &mut oracle)
+                .map_err(|e| format!("op {i}: {e}"))?;
+        }
+        self.finale(&oracle)
+    }
+
     /// Arm the E10 cache-coherence canary: the next migration's tombstone
     /// broadcast is silently skipped, so a later read through a warmed
     /// property cache serves a stale value — the fault the soak gate's
@@ -422,19 +465,284 @@ pub fn run_flat(cfg: &ChurnConfig, ops: &[SoakOp], canary: bool) -> Result<(), S
     if canary {
         harness.arm_cache_canary();
     }
-    let mut oracle = Oracle::new(cfg.pool());
-    for (i, op) in ops.iter().enumerate() {
-        harness
-            .apply(op, &mut oracle)
-            .map_err(|e| format!("op {i}: {e}"))?;
+    harness.run(ops)
+}
+
+/// Counter snapshot at a phase boundary.
+#[derive(Debug, Clone, Copy)]
+struct Snapshot {
+    stats: RuntimeStats,
+    messages: u64,
+    clock_ns: u64,
+}
+
+impl Snapshot {
+    fn take(cluster: &Cluster) -> Self {
+        Snapshot {
+            stats: cluster.stats(),
+            messages: cluster.network().stats().messages,
+            clock_ns: cluster.network().now().as_ns(),
+        }
     }
-    harness.finale(&oracle)
+}
+
+/// One completed soak phase: what was applied and what it cost.
+#[derive(Debug, Clone)]
+pub struct PhaseStats {
+    /// Phase label (from the churn schedule).
+    pub name: String,
+    /// Ops applied, counted per kind label (`rafda_corpus::ops::SoakOp::kind`).
+    pub ops: BTreeMap<&'static str, u64>,
+    /// Wire messages this phase added.
+    pub messages: u64,
+    /// Simulated nanoseconds this phase consumed.
+    pub clock_ns: u64,
+    /// Runtime counter deltas over the phase.
+    pub stats: RuntimeStats,
+}
+
+impl PhaseStats {
+    /// Total ops applied in this phase.
+    pub fn total_ops(&self) -> u64 {
+        self.ops.values().sum()
+    }
+}
+
+/// Records a soak run phase by phase; [`SoakRecorder::finish`] turns it
+/// into a [`SoakReport`].
+#[derive(Debug)]
+pub struct SoakRecorder {
+    seed: u64,
+    origin: Snapshot,
+    mark: Snapshot,
+    open: Option<(String, BTreeMap<&'static str, u64>)>,
+    phases: Vec<PhaseStats>,
+}
+
+impl SoakRecorder {
+    /// Start recording against a freshly deployed cluster. `seed` is the
+    /// schedule seed, echoed in the report so any run is reproducible
+    /// from its rendered text alone.
+    pub fn begin(cluster: &Cluster, seed: u64) -> Self {
+        let origin = Snapshot::take(cluster);
+        SoakRecorder {
+            seed,
+            origin,
+            mark: origin,
+            open: None,
+            phases: Vec::new(),
+        }
+    }
+
+    /// Open the named phase, closing the currently open one (its counter
+    /// deltas are computed at this boundary).
+    pub fn phase(&mut self, cluster: &Cluster, name: &str) {
+        self.close(cluster);
+        self.open = Some((name.to_string(), BTreeMap::new()));
+    }
+
+    /// Count one applied op under its kind label. Must be inside a phase.
+    pub fn record(&mut self, kind: &'static str) {
+        let (_, ops) = self
+            .open
+            .as_mut()
+            .expect("SoakRecorder::record outside a phase");
+        *ops.entry(kind).or_insert(0) += 1;
+    }
+
+    fn close(&mut self, cluster: &Cluster) {
+        if let Some((name, ops)) = self.open.take() {
+            let now = Snapshot::take(cluster);
+            self.phases.push(PhaseStats {
+                name,
+                ops,
+                messages: now.messages - self.mark.messages,
+                clock_ns: now.clock_ns - self.mark.clock_ns,
+                stats: now.stats.delta_from(&self.mark.stats),
+            });
+            self.mark = now;
+        }
+    }
+
+    /// Close the last phase, run the quiescent-point invariant sweep and
+    /// assemble the report.
+    pub fn finish(mut self, cluster: &Cluster) -> SoakReport {
+        self.close(cluster);
+        let violations = cluster.check_invariants();
+        let end = Snapshot::take(cluster);
+        let mut monitors: Vec<(&'static str, u64)> =
+            standard_monitors().iter().map(|m| (m.name(), 0)).collect();
+        monitors.push(("stale-affinity", 0));
+        for v in &violations {
+            if let Some(slot) = monitors.iter_mut().find(|(n, _)| *n == v.monitor) {
+                slot.1 += 1;
+            } else {
+                monitors.push((v.monitor, 1));
+            }
+        }
+        SoakReport {
+            seed: self.seed,
+            phases: self.phases,
+            monitors,
+            violations,
+            stats: end.stats.delta_from(&self.origin.stats),
+            messages: end.messages - self.origin.messages,
+            clock_ns: end.clock_ns - self.origin.clock_ns,
+        }
+    }
+}
+
+/// The outcome of one soak run: per-phase op counts and cost, whole-run
+/// metric deltas, and the verdict of every invariant monitor. Rendered
+/// deterministically by its [`Display`](fmt::Display) impl.
+#[derive(Debug, Clone)]
+pub struct SoakReport {
+    /// The schedule seed the run replayed.
+    pub seed: u64,
+    /// Completed phases in execution order.
+    pub phases: Vec<PhaseStats>,
+    /// `(monitor name, violation count)` for every standing monitor plus
+    /// the structural stale-affinity sweep, in a fixed order.
+    pub monitors: Vec<(&'static str, u64)>,
+    /// Every violation the quiescent-point sweep returned.
+    pub violations: Vec<Violation>,
+    /// Whole-run runtime counter deltas.
+    pub stats: RuntimeStats,
+    /// Whole-run wire messages.
+    pub messages: u64,
+    /// Whole-run simulated nanoseconds.
+    pub clock_ns: u64,
+}
+
+impl SoakReport {
+    /// Total ops across all phases.
+    pub fn total_ops(&self) -> u64 {
+        self.phases.iter().map(PhaseStats::total_ops).sum()
+    }
+
+    /// `true` when every monitor stayed silent.
+    pub fn clean(&self) -> bool {
+        self.violations.is_empty()
+    }
+}
+
+impl fmt::Display for SoakReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "soak report: seed {} | {} ops in {} phases | {} messages | {:.3} sim ms",
+            self.seed,
+            self.total_ops(),
+            self.phases.len(),
+            self.messages,
+            self.clock_ns as f64 / 1e6,
+        )?;
+        for p in &self.phases {
+            let ops: Vec<String> = p.ops.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            writeln!(
+                f,
+                "  {:<8} {:>7} ops | {:>8} msgs | {:>9.3} sim ms | {}",
+                p.name,
+                p.total_ops(),
+                p.messages,
+                p.clock_ns as f64 / 1e6,
+                ops.join(" "),
+            )?;
+        }
+        writeln!(f, "  totals: {}", self.stats)?;
+        let verdicts: Vec<String> = self
+            .monitors
+            .iter()
+            .map(|(name, count)| {
+                if *count == 0 {
+                    format!("{name}=silent")
+                } else {
+                    format!("{name}={count}")
+                }
+            })
+            .collect();
+        writeln!(f, "  monitors: {}", verdicts.join(" "))?;
+        for v in &self.violations {
+            writeln!(f, "    violation: {v}")?;
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::ops::generate_churn;
+
+    /// `Acct` placed on node 1 of two, one instance created from node 0.
+    fn acct_cluster() -> (Cluster, Value) {
+        let policy = StaticPolicy::new().place("Acct", Placement::Node(NodeId(1)));
+        let cluster = soak_app()
+            .transform(&["RMI"])
+            .unwrap()
+            .deploy(2, 7, Box::new(policy));
+        cluster.enable_monitors();
+        let obj = cluster.new_instance(NodeId(0), "Acct", 0, vec![]).unwrap();
+        (cluster, obj)
+    }
+
+    #[test]
+    fn recorder_attributes_ops_and_costs_to_phases() {
+        let (cluster, obj) = acct_cluster();
+        let mut rec = SoakRecorder::begin(&cluster, 99);
+        rec.phase(&cluster, "warm");
+        for _ in 0..3 {
+            cluster
+                .call_method(NodeId(0), obj.clone(), "add", vec![Value::Int(1)])
+                .unwrap();
+            rec.record("call");
+        }
+        rec.phase(&cluster, "main");
+        cluster
+            .call_method(NodeId(0), obj.clone(), "add", vec![Value::Int(1)])
+            .unwrap();
+        rec.record("call");
+        let report = rec.finish(&cluster);
+
+        assert_eq!(report.total_ops(), 4);
+        assert_eq!(report.phases.len(), 2);
+        assert_eq!(report.phases[0].ops.get("call"), Some(&3));
+        assert_eq!(report.phases[1].ops.get("call"), Some(&1));
+        assert!(report.phases[0].messages > 0, "remote calls cross the wire");
+        assert_eq!(report.stats.rpc_calls, 4);
+        assert!(report.clean(), "{report}");
+        // Every standing verdict is present and silent.
+        let names: Vec<&str> = report.monitors.iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            [
+                "stale-read",
+                "at-most-once",
+                "span-tree",
+                "replica-divergence",
+                "stale-affinity"
+            ]
+        );
+        assert!(report.monitors.iter().all(|(_, c)| *c == 0));
+    }
+
+    #[test]
+    fn report_text_is_deterministic_and_self_identifying() {
+        let render = || {
+            let (cluster, obj) = acct_cluster();
+            let mut rec = SoakRecorder::begin(&cluster, 1234);
+            rec.phase(&cluster, "only");
+            cluster
+                .call_method(NodeId(0), obj, "add", vec![Value::Int(2)])
+                .unwrap();
+            rec.record("call");
+            rec.finish(&cluster).to_string()
+        };
+        let a = render();
+        assert_eq!(a, render(), "same seed must render identical text");
+        assert!(a.contains("seed 1234"), "{a}");
+        assert!(a.contains("monitors:"), "{a}");
+    }
 
     #[test]
     fn a_short_schedule_runs_clean_and_reports() {

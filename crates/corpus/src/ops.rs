@@ -165,7 +165,7 @@ impl OpMix {
     }
 
     /// The boundary-chaos mix (calls, migrations, pulls, adaptation) used
-    /// by the E9 interchangeability soak: 6/2/2/1.
+    /// by the E7 interchangeability soak: 6/2/2/1.
     pub fn boundary(pool: usize, nodes: u8) -> Self {
         OpMix {
             call: 6,

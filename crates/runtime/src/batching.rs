@@ -179,8 +179,17 @@ pub(crate) fn flush_outqueues(shared: &Shared) -> Result<(), VmError> {
                         }
                     }
                 }
-            } else if first_err.is_none() {
-                first_err = flush_error(shared, from, outcome);
+            } else {
+                if outcome.is_err() {
+                    for op in &pending.ops {
+                        if matches!(op, Request::ReplicaSync { .. }) {
+                            bump(shared, from.0, Met::ReplicaShipFailures);
+                        }
+                    }
+                }
+                if first_err.is_none() {
+                    first_err = flush_error(shared, from, outcome);
+                }
             }
         }
     }

@@ -67,11 +67,9 @@ mod registry;
 mod replication;
 mod rpc;
 mod serve;
-pub mod soak;
 
 pub use cluster::{Cluster, MigrationEvent, NodeSummary, RemoteRef, RetryPolicy, RuntimeStats};
 pub use error::RuntimeError;
 pub use introspect::{declare_introspection, INTROSPECTION_CLASS};
 pub use local::LocalRuntime;
 pub use persist::{SnapObject, SnapSlot, Snapshot};
-pub use soak::{PhaseStats, SoakRecorder, SoakReport};

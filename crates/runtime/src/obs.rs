@@ -185,6 +185,10 @@ runtime_metrics! {
     /// Replica state syncs served: one per backup shipped after a served
     /// mutation (or export) of a replicated object.
     ReplicaSyncs => replica_syncs, "rafda_replica_syncs_total";
+    /// Replica shipments lost: a `ReplicaSync` exchange (sent on its own
+    /// or inside a flushed batch) that failed at the network level,
+    /// charged to the owner. The backup keeps its older state.
+    ReplicaShipFailures => replica_ship_failures, "rafda_replica_ship_failures_total";
     /// Replica promotions served: a backup materialised its stored state
     /// and became the new owner after the primary crashed.
     Promotions => promotions, "rafda_promotions_total";

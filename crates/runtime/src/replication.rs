@@ -339,8 +339,8 @@ pub(crate) fn sync_replicas(shared: &Shared, owner: NodeId, oid: u64) {
             // ride the owner's outcall queue to each backup and land at the
             // next synchronization point.
             enqueue_outcall(shared, owner, NodeId(t), &proto, &base_name, req);
-        } else {
-            let _ = rpc(shared, owner, NodeId(t), &proto, &base_name, &req);
+        } else if rpc(shared, owner, NodeId(t), &proto, &base_name, &req).is_err() {
+            bump(shared, owner.0, Met::ReplicaShipFailures);
         }
     }
 }

@@ -73,7 +73,7 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// The absent context (pre-tracing peers decode as this).
+    /// The absent context: no span to parent under.
     pub const NONE: TraceContext = TraceContext {
         trace_id: 0,
         span_id: 0,

@@ -225,15 +225,15 @@ impl WireError {
 /// node can parent its dispatch span under the caller's span even across a
 /// multi-hop proxy chain. A request's retransmissions carry the *same*
 /// context (the frame is encoded once and resent verbatim); replies carry
-/// the server span's context. Frames from pre-tracing peers decode as
-/// [`TraceContext::NONE`].
+/// the server span's context.
 ///
 /// Reply headers additionally piggyback the served object's **property
 /// version** — the counter the proxy-side property cache tags its entries
 /// with — so coherence information rides on traffic that flows anyway.
-/// Binary frames from pre-caching peers decode with version 0; a SOAP
-/// envelope without its header, or a SOAP reply without its version, is a
-/// [`WireError`].
+/// Every frame of this build carries all of these fields, so a frame
+/// without one — an RMI version or GIOP minor other than 7 and 8, a SOAP
+/// envelope without its header or `<rafda:trace>`, a SOAP reply without
+/// its version — is a [`WireError`], never a guess.
 ///
 /// Implementations must round-trip exactly. `overhead_ns` models the
 /// protocol-stack processing cost charged per message in addition to the

@@ -422,9 +422,9 @@ fn envelope_into(
 }
 
 /// Extract the message id, trace context and object property version from
-/// a `<soap:Header>` block. Pre-tracing peers (no `<rafda:trace>`) decode
-/// as `TraceContext::NONE`. The property version is present on replies
-/// only.
+/// a `<soap:Header>` block. Every frame of this build carries a
+/// `<rafda:trace>`; a header without one is rejected. The property version
+/// is present on replies only.
 fn header_fields(header: &Element) -> Result<(u64, TraceContext, Option<u64>), WireError> {
     let id = header
         .child("rafda:mid")?
@@ -432,13 +432,13 @@ fn header_fields(header: &Element) -> Result<(u64, TraceContext, Option<u64>), W
         .trim()
         .parse()
         .map_err(|_| WireError::new("bad rafda:mid"))?;
-    let ctx = match header.child("rafda:trace") {
-        Ok(trace) => TraceContext {
-            trace_id: trace.attr_parsed("id")?,
-            span_id: trace.attr_parsed("span")?,
-            parent_span_id: trace.attr_parsed("parent")?,
-        },
-        Err(_) => TraceContext::NONE,
+    let trace = header
+        .child("rafda:trace")
+        .map_err(|_| WireError::new("SOAP header without rafda:trace"))?;
+    let ctx = TraceContext {
+        trace_id: trace.attr_parsed("id")?,
+        span_id: trace.attr_parsed("span")?,
+        parent_span_id: trace.attr_parsed("parent")?,
     };
     let objver = match header.child("rafda:objver") {
         Ok(v) => Some(
@@ -989,20 +989,6 @@ mod tests {
              <rafda:trace id=\"3\" span=\"8\" parent=\"2\"/></soap:Header>"
         ));
         assert!(s.starts_with("<?xml"));
-    }
-
-    #[test]
-    fn traceless_header_decodes_as_none_context() {
-        // A frame from a message-id-era peer: header with mid but no
-        // <rafda:trace>.
-        let xml = "<?xml version=\"1.0\"?>\n\
-                   <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n\
-                   <soap:Header><rafda:mid>6</rafda:mid></soap:Header>\n\
-                   <soap:Body><rafda:fetch object=\"5\"/></soap:Body>\n</soap:Envelope>\n";
-        let (id, ctx, req) = SoapCodec::new().decode_request(xml.as_bytes()).unwrap();
-        assert_eq!(id, 6);
-        assert_eq!(ctx, TraceContext::NONE);
-        assert_eq!(req, Request::Fetch { object: 5 });
     }
 
     #[test]

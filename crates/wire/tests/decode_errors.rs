@@ -354,10 +354,10 @@ fn truncated_headers_are_rejected_by_the_header_decoder() {
     }
 }
 
-/// Every SOAP frame of this build carries a header. An envelope without
-/// `<soap:Header>`, or a reply header without the `<rafda:objver>`
-/// property version, is rejected instead of being decoded with a guessed
-/// id or version.
+/// Every SOAP frame of this build carries a header with a trace context.
+/// An envelope without `<soap:Header>`, a header without `<rafda:trace>`,
+/// or a reply header without the `<rafda:objver>` property version, is
+/// rejected instead of being decoded with a guessed id, trace or version.
 #[test]
 fn soap_rejects_headerless_envelopes_and_objverless_replies() {
     let codec = SoapCodec::new();
@@ -384,6 +384,32 @@ fn soap_rejects_headerless_envelopes_and_objverless_replies() {
                       </soap:Envelope>\n";
     let err = codec.decode_reply(objverless.as_bytes()).unwrap_err();
     assert!(err.to_string().contains("missing rafda:objver"), "{err}");
+    let traceless_request = "<?xml version=\"1.0\"?>\n\
+                             <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n\
+                             <soap:Header><rafda:mid>6</rafda:mid></soap:Header>\n\
+                             <soap:Body><rafda:fetch object=\"5\"/></soap:Body>\n</soap:Envelope>\n";
+    let traceless_reply = "<?xml version=\"1.0\"?>\n\
+                           <soap:Envelope xmlns:soap=\"x\" xmlns:rafda=\"y\">\n\
+                           <soap:Header><rafda:mid>6</rafda:mid>\
+                           <rafda:objver>3</rafda:objver></soap:Header>\n\
+                           <soap:Body><rafda:result><v t=\"int\">9</v></rafda:result></soap:Body>\n\
+                           </soap:Envelope>\n";
+    for err in [
+        codec
+            .decode_request_header(traceless_request.as_bytes())
+            .map(|_| ())
+            .unwrap_err(),
+        codec
+            .decode_request(traceless_request.as_bytes())
+            .map(|_| ())
+            .unwrap_err(),
+        codec
+            .decode_reply(traceless_reply.as_bytes())
+            .map(|_| ())
+            .unwrap_err(),
+    ] {
+        assert!(err.to_string().contains("without rafda:trace"), "{err}");
+    }
 }
 
 /// Every RMI frame of this build is version 7 (stateless) or 8 (interned).

@@ -850,7 +850,7 @@ fn e16() {
     for line in report.to_string().lines() {
         println!("  {line}");
     }
-    println!("  gate depth: cargo test --test soak (SOAK_OPS / SOAK_SEEDS / SOAK_SMOKE)\n");
+    println!("  gate depth: cargo test --test soak (SOAK_OPS / SOAK_SEEDS)\n");
 }
 
 fn main() {

@@ -538,3 +538,45 @@ fn failover_follows_a_move_chain_longer_than_the_node_count() {
     assert_eq!(after.net_failures - before.net_failures, 1, "{after}");
     assert_eq!(after.exchanges() - before.exchanges(), 6, "{after}");
 }
+
+#[test]
+fn a_replica_shipment_lost_to_a_partition_is_counted() {
+    // `C` lives on node 1 with its one backup on node 0. Cutting that link
+    // leaves the owner's shipment of the next acknowledged write with
+    // nowhere to go: the loss must show up in the counter plane.
+    let (cluster, c) = deployed(4, 1, N2, 23);
+    assert_eq!(bump(&cluster, N2, &c, 1).unwrap(), Value::Int(6));
+    let before = cluster.stats();
+    assert_eq!(before.replica_ship_failures, 0, "{before:?}");
+    cluster.network().fault_plan(|f| f.partition(N1, N0));
+    assert_eq!(bump(&cluster, N2, &c, 2).unwrap(), Value::Int(8));
+    let after = cluster.stats();
+    assert_eq!(after.replica_ship_failures, 1, "{after:?}");
+}
+
+#[test]
+fn a_batched_replica_shipment_lost_at_flush_is_counted() {
+    // Under `batch on` the owner defers its shipment onto its queue to the
+    // backup and flushes it before answering; across the cut link the
+    // whole flushed batch fails, and its one shipment is counted.
+    let policy = StaticPolicy::new()
+        .place("C", Placement::Node(N1))
+        .default_statics(N0)
+        .replicate("C", 1)
+        .batch("C", true);
+    let cluster = counter_app()
+        .transform(&["RMI"])
+        .unwrap()
+        .deploy(4, 23, Box::new(policy));
+    let c = cluster
+        .new_instance(N2, "C", 0, vec![Value::Int(5)])
+        .unwrap();
+    assert_eq!(bump(&cluster, N2, &c, 1).unwrap(), Value::Int(6));
+    assert_eq!(cluster.stats().replica_ship_failures, 0);
+    cluster.network().fault_plan(|f| f.partition(N1, N0));
+    // What the caller of this write is told is not pinned here; only
+    // that the lost shipment is counted.
+    let _ = bump(&cluster, N2, &c, 2);
+    let after = cluster.stats();
+    assert_eq!(after.replica_ship_failures, 1, "{after:?}");
+}

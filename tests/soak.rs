@@ -7,16 +7,15 @@
 //! against the exact single-address-space oracle with every invariant
 //! monitor armed.
 //!
-//! Knobs (see `ci.sh`):
+//! Knobs:
 //!
-//! * `SOAK_OPS=<n>` — exact op count (highest precedence);
-//! * `SOAK_SMOKE=1` — force the 10⁴-op smoke depth explicitly;
+//! * `SOAK_OPS=<n>` — exact op count (default 10⁴, the smoke depth);
 //! * `SOAK_SEEDS=1,2,3` — run the gate once per seed (default `42`).
 //!
 //! Plain `cargo test` runs at the smoke depth so the debug tier stays
 //! fast; the full production day is `SOAK_OPS=100000 cargo test --release
 //! --test soak` (or `cargo bench --bench e16_soak`, which defaults to
-//! 10⁵ ops under the same knobs).
+//! 10⁵ ops and also reads `SOAK_SMOKE=1` to drop to 10⁴).
 //!
 //! On failure the gate does not just panic: it hands the flattened op
 //! list to the delta-debugging shrinker (`proptest::shrink`) and prints a
@@ -28,8 +27,7 @@ use rafda::corpus::ops::{generate_churn, ChurnConfig, Oracle, SoakOp};
 use rafda::soak::{run_flat, run_schedule, SoakHarness};
 use rafda::{NodeId, Value};
 
-/// Gate depth: `SOAK_OPS` wins; otherwise the 10⁴ smoke depth (which
-/// `SOAK_SMOKE=1` also selects explicitly, for parity with the bench).
+/// Gate depth: `SOAK_OPS` if set, otherwise the 10⁴ smoke depth.
 fn depth() -> usize {
     if let Ok(v) = std::env::var("SOAK_OPS") {
         return v.parse().expect("SOAK_OPS must be an op count");
